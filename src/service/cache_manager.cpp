@@ -16,9 +16,7 @@ namespace fs = std::filesystem;
 namespace {
 
 /// Changelog base name: the on-disk files are manifest.log (tail) and
-/// manifest.snap (snapshot). "manifest.log" is deliberately the same path
-/// the pre-changelog text journal used, so a legacy directory is detected
-/// (foreign magic) and migrated rather than shadowed.
+/// manifest.snap (snapshot).
 constexpr const char* kManifestBase = "manifest";
 constexpr const char* kQuarantineName = "quarantine";
 
@@ -28,40 +26,37 @@ constexpr const char* kQuarantineName = "quarantine";
 constexpr std::uint64_t kJournalSlack = 8;
 constexpr std::uint64_t kJournalSlop = 1024;
 
-/// True for the manager's own metadata paths (manifest.log, manifest.snap,
-/// their temp droppings, anything quarantined), which a directory walk
-/// must not mistake for (foreign) cache content.
-bool is_metadata_path(const fs::path& p, const fs::path& quarantine) {
-  for (fs::path q = p; !q.empty() && q != q.root_path(); q = q.parent_path()) {
-    if (q == quarantine) return true;
-  }
+/// True for the manager's own journal files (manifest.log, manifest.snap,
+/// their temp droppings), which a directory walk must not mistake for
+/// (foreign) cache content.
+bool is_metadata_path(const fs::path& p) {
   const std::string name = p.filename().string();
   return name.rfind(std::string(kManifestBase) + ".", 0) == 0;
 }
 
-/// The changelog payload for one manifest record (the line syntax minus
-/// the trailing newline — framing is the changelog's job).
-std::string record_payload(const ManifestRecord& rec) {
-  std::string line = format_manifest_line(rec);
-  if (!line.empty() && line.back() == '\n') line.pop_back();
-  return line;
-}
-
-/// The shared registry when one was passed, else a lazily-created private
-/// one — instrumentation stays unconditional with no null checks on the
-/// hot path. Idempotent so each member initializer can call it.
-metrics::Registry& ensure_registry(metrics::Registry* shared,
-                                   std::unique_ptr<metrics::Registry>& own) {
-  if (shared != nullptr) return *shared;
-  if (!own) own = std::make_unique<metrics::Registry>();
-  return *own;
+/// Every regular file under `dir` outside `quarantine`, sorted (so reports
+/// built from the walk are deterministic).
+std::vector<fs::path> walk_files(const std::string& dir,
+                                 const fs::path& quarantine) {
+  std::vector<fs::path> files;
+  std::error_code ec;
+  for (fs::recursive_directory_iterator it(dir, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    if (it->path() == quarantine) {
+      it.disable_recursion_pending();
+    } else if (it->is_regular_file(ec)) {
+      files.push_back(it->path());
+    }
+  }
+  std::sort(files.begin(), files.end());
+  return files;
 }
 
 }  // namespace
 
 CacheManager::CacheManager(std::string dir, metrics::Registry* registry)
     : dir_(std::move(dir)),
-      reg_(&ensure_registry(registry, own_registry_)),
+      reg_(&metrics::ensure_registry(registry, own_registry_)),
       entries_gauge_(reg_->gauge("cache_entries")),
       bytes_gauge_(reg_->gauge("cache_bytes")),
       manifest_bytes_gauge_(reg_->gauge("cache_manifest_bytes")),
@@ -77,7 +72,7 @@ CacheManager::CacheManager(std::string dir, metrics::Registry* registry)
     throw JobError("cannot open cache directory " + dir_ + ": " +
                    ec.message());
   }
-  const std::vector<ManifestRecord> legacy = open_journal();
+  open_journal();
 
   const std::lock_guard<std::mutex> lock(mu_);
   std::uint64_t replayed = 0;
@@ -90,10 +85,10 @@ CacheManager::CacheManager(std::string dir, metrics::Registry* registry)
     open_replays_.inc();
   } else {
     // No journal state (fresh dir, filled by unbudgeted writers that keep
-    // no journal, or a just-migrated legacy manifest): the directory walk
-    // is the only source of truth; legacy records seed the access order.
+    // no journal, or a just-discarded foreign manifest): the directory
+    // walk is the only source of truth.
     open_scans_.inc();
-    scan_locked(legacy);
+    scan_locked();
     // Persist what the scan found so the *next* open replays instead of
     // walking. An empty result writes nothing: a bare directory must stay
     // bare (and must not pin a stale empty snapshot over entries an
@@ -107,31 +102,28 @@ CacheManager::~CacheManager() {
   flush_journal_locked();
 }
 
-std::vector<ManifestRecord> CacheManager::open_journal() {
-  const std::string base = dir_ + "/" + kManifestBase;
+void CacheManager::open_journal() {
   try {
-    changelog_.emplace(base);
-    return {};
-  } catch (const ChangelogError&) {
-    // Pre-changelog manifest.log (line-oriented text journal), or a
-    // corrupted header: salvage what the text reader can parse for
-    // recency, then rebuild the files in changelog format. Entry files —
-    // the ground truth — are untouched either way.
+    changelog_.emplace(manifest_path());
+  } catch (const ChangelogError& e) {
+    // A manifest the changelog refuses (corrupted header, foreign or
+    // pre-changelog file) is discarded; the constructor's scan rebuilds
+    // the accounting from the entry files, which are untouched.
+    logx::info("cache_manifest_discarded", {{"dir", dir_}, {"err", e.what()}});
+    reset_journal();
   }
-  std::vector<ManifestRecord> legacy = read_manifest(base + ".log");
+}
+
+void CacheManager::reset_journal() {
+  changelog_.reset();
   std::error_code ec;
-  fs::remove(base + ".log", ec);
-  fs::remove(base + ".snap", ec);
+  fs::remove(manifest_path() + ".log", ec);
+  fs::remove(manifest_path() + ".snap", ec);
   try {
-    changelog_.emplace(base);
+    changelog_.emplace(manifest_path());
   } catch (const ChangelogError& e) {
     throw JobError("cannot open cache journal in " + dir_ + ": " + e.what());
   }
-  if (!legacy.empty()) {
-    logx::info("cache_manifest_migrated",
-               {{"dir", dir_}, {"legacy_records", legacy.size()}});
-  }
-  return legacy;
 }
 
 std::string CacheManager::manifest_path() const {
@@ -142,14 +134,13 @@ std::string CacheManager::quarantine_dir() const {
   return dir_ + "/" + kQuarantineName;
 }
 
-void CacheManager::apply_record_locked(const ManifestRecord& rec) {
-  if (rec.fields.empty()) return;
-  const std::string& hex = rec.fields[0];
+void CacheManager::apply_record_locked(const ChangelogRecord& rec) {
+  const std::string& hex = rec.key;
   if (!Fingerprint::from_hex(hex)) return;  // malformed key: skip
-  if (rec.tag == "F" && rec.fields.size() >= 2) {
+  if (rec.tag == "F") {
     char* end = nullptr;
-    const std::uint64_t size = std::strtoull(rec.fields[1].c_str(), &end, 10);
-    if (end == nullptr || *end != '\0') return;
+    const std::uint64_t size = std::strtoull(rec.payload.c_str(), &end, 10);
+    if (rec.payload.empty() || *end != '\0') return;
     Entry& e = entries_[hex];
     live_bytes_ += size - e.size;  // idempotent upsert (replay may repeat)
     e.size = size;
@@ -164,57 +155,28 @@ void CacheManager::replay_locked(std::uint64_t* replayed_records) {
   entries_.clear();
   live_bytes_ = 0;
   next_access_ = 1;
-  std::uint64_t n = 0;
-  const ChangelogState& state = changelog_->replayed();
-  for (const std::string& payload : state.snapshot) {
-    if (const auto rec = parse_manifest_line(payload)) {
-      apply_record_locked(*rec);
-      ++n;
-    }
-  }
-  for (const std::string& payload : state.tail) {
-    if (const auto rec = parse_manifest_line(payload)) {
-      apply_record_locked(*rec);
-      ++n;
-    }
-  }
-  if (replayed_records != nullptr) *replayed_records = n;
+  const std::vector<ChangelogRecord> records = changelog_->replayed_records();
+  for (const ChangelogRecord& rec : records) apply_record_locked(rec);
+  if (replayed_records != nullptr) *replayed_records = records.size();
   publish_gauges_locked();
 }
 
-void CacheManager::scan_locked(const std::vector<ManifestRecord>& recency) {
-  // Disk is ground truth for existence and size; the recency records only
-  // add access order (entries they do not mention rank least-recent with
-  // the hex tie-break).
+void CacheManager::scan_locked() {
+  // Disk is ground truth for existence and size; every scanned entry
+  // ranks least-recent (hex tie-break) until a record or lookup touches
+  // it.
   entries_.clear();
   live_bytes_ = 0;
   next_access_ = 1;
 
-  const fs::path quarantine(quarantine_dir());
-  std::error_code ec;
-  for (fs::recursive_directory_iterator it(dir_, ec), end; !ec && it != end;
-       it.increment(ec)) {
-    if (it->path() == quarantine) {
-      it.disable_recursion_pending();
-      continue;
-    }
-    if (!it->is_regular_file(ec)) continue;
-    const auto key = key_from_entry_path(it->path().string());
+  for (const fs::path& p : walk_files(dir_, quarantine_dir())) {
+    const auto key = key_from_entry_path(p.string());
     if (!key) continue;
-    std::error_code size_ec;
-    const std::uint64_t size = it->file_size(size_ec);
-    if (size_ec) continue;
+    std::error_code ec;
+    const std::uint64_t size = fs::file_size(p, ec);
+    if (ec) continue;
     entries_[key->hex()] = Entry{size, 0};
     live_bytes_ += size;
-  }
-
-  for (const ManifestRecord& rec : recency) {
-    if (rec.fields.empty()) continue;
-    const auto it = entries_.find(rec.fields[0]);
-    if (it == entries_.end()) continue;  // journal mentions a gone entry
-    if (rec.tag == "F" || rec.tag == "T") {
-      it->second.last_access = next_access_++;
-    }
   }
   publish_gauges_locked();
 }
@@ -224,7 +186,7 @@ void CacheManager::publish_gauges_locked() noexcept {
   bytes_gauge_.set(static_cast<std::int64_t>(live_bytes_));
 }
 
-void CacheManager::buffer_journal_locked(ManifestRecord record) {
+void CacheManager::buffer_journal_locked(std::string record) {
   pending_journal_.push_back(std::move(record));
   if (pending_journal_.size() >= kJournalFlushBatch) flush_journal_locked();
 }
@@ -240,20 +202,15 @@ void CacheManager::flush_journal_locked() {
     checkpoint_locked();
     return;
   }
-  std::vector<std::string> payloads;
-  payloads.reserve(pending_journal_.size());
-  for (const ManifestRecord& r : pending_journal_) {
-    payloads.push_back(record_payload(r));
-  }
   // One write + one fdatasync for the whole batch. Records that could not
   // be persisted are dropped, not accumulated — LRU precision degrades,
   // memory stays bounded, correctness is untouched — but the failure is
   // counted and logged (disk full and read-only mounts must not be
   // silent).
-  if (!changelog_->append_batch(payloads)) {
+  if (!changelog_->append_batch(pending_journal_)) {
     append_failures_.inc();
     logx::warn("manifest_append_failed",
-               {{"dir", dir_}, {"records", payloads.size()}});
+               {{"dir", dir_}, {"records", pending_journal_.size()}});
   }
   pending_journal_.clear();
 }
@@ -265,8 +222,7 @@ void CacheManager::checkpoint_locked() {
   std::vector<std::string> records;
   records.reserve(entries_.size());
   for (const auto& [hex, e] : lru_sorted_locked()) {
-    records.push_back(
-        record_payload({"F", {hex, std::to_string(e.size)}}));
+    records.push_back(encode_record("F", hex, std::to_string(e.size)));
   }
   if (!changelog_->snapshot(records)) {
     append_failures_.inc();
@@ -290,7 +246,7 @@ void CacheManager::record_put(const Fingerprint& key, std::uint64_t size) {
   e.size = size;
   e.last_access = next_access_++;
   publish_gauges_locked();
-  buffer_journal_locked({"F", {hex, std::to_string(size)}});
+  buffer_journal_locked(encode_record("F", hex, std::to_string(size)));
 }
 
 void CacheManager::record_get(const Fingerprint& key) {
@@ -309,7 +265,7 @@ void CacheManager::record_get(const Fingerprint& key) {
     publish_gauges_locked();
   }
   it->second.last_access = next_access_++;
-  buffer_journal_locked({"T", {hex}});
+  buffer_journal_locked(encode_record("T", hex));
 }
 
 std::uint64_t CacheManager::live_bytes() const {
@@ -418,21 +374,9 @@ VerifyReport CacheManager::verify(RepairMode mode) {
   const fs::path root(dir_);
   const fs::path quarantine(quarantine_dir());
 
-  std::vector<fs::path> files;
-  std::error_code ec;
-  for (fs::recursive_directory_iterator it(dir_, ec), end; !ec && it != end;
-       it.increment(ec)) {
-    if (it->path() == quarantine) {
-      it.disable_recursion_pending();
-      continue;
-    }
-    if (it->is_regular_file(ec)) files.push_back(it->path());
-  }
-  std::sort(files.begin(), files.end());  // deterministic report order
-
   bool adopted = false;
-  for (const fs::path& p : files) {
-    if (is_metadata_path(p, quarantine)) continue;
+  for (const fs::path& p : walk_files(dir_, quarantine)) {
+    if (is_metadata_path(p)) continue;
     const auto key = key_from_entry_path(p.string());
     if (!key) {
       // Not an entry (stray temp file, operator droppings): report, never
@@ -461,6 +405,7 @@ VerifyReport CacheManager::verify(RepairMode mode) {
     }
     ++report.invalid;
     VerifyFinding finding;
+    std::error_code ec;
     finding.path = fs::relative(p, root, ec).string();
     if (ec) finding.path = p.string();
     finding.status = status;
@@ -512,19 +457,11 @@ std::uint64_t CacheManager::clear() {
   next_access_ = 1;
   publish_gauges_locked();
   pending_journal_.clear();
-  // Drop the journal wholesale: close it, unlink both files, reopen
-  // fresh (a cleared cache carries no metadata, not an empty snapshot).
-  changelog_.reset();
+  // Drop the journal wholesale (a cleared cache carries no metadata, not
+  // an empty snapshot).
+  reset_journal();
   std::error_code ec;
-  fs::remove(manifest_path() + ".log", ec);
-  fs::remove(manifest_path() + ".snap", ec);
   fs::remove_all(quarantine_dir(), ec);
-  try {
-    changelog_.emplace(manifest_path());
-  } catch (const ChangelogError& e) {
-    throw JobError("cannot reopen cache journal in " + dir_ + ": " +
-                   e.what());
-  }
   // Drop now-empty fan-out directories (non-empty ones — e.g. a foreign
   // file — survive; fs::remove refuses non-empty dirs).
   for (fs::directory_iterator it(dir_, ec), end; !ec && it != end;
@@ -542,7 +479,7 @@ void CacheManager::rescan() {
   // this manager already knows (in-memory is at least as fresh as the
   // journal it just flushed). New keys rank least-recent.
   const std::map<std::string, Entry> known = std::move(entries_);
-  scan_locked({});
+  scan_locked();
   for (auto& [hex, e] : entries_) {
     if (const auto it = known.find(hex); it != known.end()) {
       e.last_access = it->second.last_access;

@@ -9,15 +9,17 @@
 // holds one `F hex size` record per live entry in LRU order, the tail
 // accumulates `F` (fill) and `T` (touch) records between compactions.
 //
+// Records use the changelog's one record syntax (encode_record): `F hex
+// size` and `T hex`.
+//
 // Opening is O(snapshot + tail), not O(directory): when the changelog
 // carries state, replaying it reconstructs the accounting without
 // touching a single entry file (cache_open_replays_total). Only a
-// directory with no journal at all — fresh, populated by an unbudgeted
-// writer, or carrying a pre-changelog text manifest — pays a full
+// directory with no journal state — fresh, populated by an unbudgeted
+// writer, or carrying a manifest the changelog refuses (corrupted header,
+// foreign or pre-changelog file, which is discarded) — pays a full
 // recursive scan (cache_open_scans_total), after which a snapshot is
-// written so the next open replays. Legacy text manifest.log files are
-// migrated in place: their line records seed the recency order, then the
-// file is rewritten in changelog format.
+// written so the next open replays.
 //
 // Safety model — everything here is *advisory* except the deletes:
 //   - Entries are immutable, checksummed, recomputable files published by
@@ -56,7 +58,6 @@
 #include "service/result_cache.hpp"
 #include "support/changelog.hpp"
 #include "support/fingerprint.hpp"
-#include "support/manifest.hpp"
 #include "support/metrics.hpp"
 
 namespace distapx::service {
@@ -232,24 +233,24 @@ class CacheManager {
   /// fdatasync — per kJournalFlushBatch records).
   static constexpr std::size_t kJournalFlushBatch = 64;
 
-  /// Opens (or migrates, or rebuilds) the changelog at manifest_path().
-  /// Returns the legacy text manifest's records when a pre-changelog
-  /// journal was migrated — the constructor's scan uses them as the
-  /// recency seed. Empty otherwise.
-  std::vector<ManifestRecord> open_journal();
+  /// Opens the changelog at manifest_path(); a manifest it refuses is
+  /// discarded and recreated empty (the constructor then scans).
+  void open_journal();
+  /// Closes the changelog, unlinks both files, and opens a fresh one.
+  void reset_journal();
   /// Rebuilds the map from the replayed changelog (no directory I/O).
   void replay_locked(std::uint64_t* replayed_records);
-  /// Rebuilds the map from a recursive directory walk; `recency` records
-  /// (legacy manifest lines or replayed journal) seed the access order.
-  void scan_locked(const std::vector<ManifestRecord>& recency);
+  /// Rebuilds the map from a recursive directory walk; every entry starts
+  /// least-recent.
+  void scan_locked();
   /// Applies one journal record to the map (idempotent: replay may
   /// deliver a record twice after a crash between snapshot and tail
   /// reset).
-  void apply_record_locked(const ManifestRecord& rec);
+  void apply_record_locked(const ChangelogRecord& rec);
   /// Publishes entries_/live_bytes_ to the cache_entries / cache_bytes
   /// gauges; call after any change to the live accounting.
   void publish_gauges_locked() noexcept;
-  void buffer_journal_locked(ManifestRecord record);
+  void buffer_journal_locked(std::string record);
   void flush_journal_locked();
   /// Snapshot + tail reset; counts and warns on failure.
   void checkpoint_locked();
@@ -278,7 +279,7 @@ class CacheManager {
   std::map<std::string, Entry> entries_;
   std::uint64_t live_bytes_ = 0;
   std::uint64_t next_access_ = 1;
-  std::vector<ManifestRecord> pending_journal_;
+  std::vector<std::string> pending_journal_;  ///< encoded records
 };
 
 }  // namespace distapx::service

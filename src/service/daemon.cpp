@@ -6,13 +6,11 @@
 #include <memory>
 #include <thread>
 
-#include "service/batch_server.hpp"
 #include "service/job_spec.hpp"
 #include "service/report_sink.hpp"
 #include "support/failpoint.hpp"
 #include "support/fsutil.hpp"
 #include "support/log.hpp"
-#include "support/manifest.hpp"
 
 namespace distapx::service {
 
@@ -67,12 +65,7 @@ bool publication_complete(const fs::path& done, const std::string& name) {
 
 Daemon::Daemon(DaemonOptions opts) : opts_(std::move(opts)) {
   if (opts_.spool_dir.empty()) throw JobError("daemon needs a spool dir");
-  if (opts_.registry != nullptr) {
-    reg_ = opts_.registry;
-  } else {
-    own_registry_ = std::make_unique<metrics::Registry>();
-    reg_ = own_registry_.get();
-  }
+  reg_ = &metrics::ensure_registry(opts_.registry, own_registry_);
   ensure_dir(opts_.spool_dir);
   ensure_dir(opts_.spool_dir + "/done");
   ensure_dir(opts_.spool_dir + "/failed");
@@ -91,17 +84,13 @@ Daemon::Daemon(DaemonOptions opts) : opts_(std::move(opts)) {
   // Replay the predecessor's claim/publish records: a `P` without its `D`
   // is a job whose results were published but whose spool move never
   // durably completed.
-  const auto apply = [this](const std::string& payload) {
-    const auto rec = parse_manifest_line(payload);
-    if (!rec || rec->fields.empty()) return;
-    if (rec->tag == "P") {
-      published_.insert(rec->fields[0]);
-    } else if (rec->tag == "D") {
-      published_.erase(rec->fields[0]);
+  for (const ChangelogRecord& rec : journal_->replayed_records()) {
+    if (rec.tag == "P") {
+      published_.insert(rec.key);
+    } else if (rec.tag == "D") {
+      published_.erase(rec.key);
     }
-  };
-  for (const std::string& p : journal_->replayed().snapshot) apply(p);
-  for (const std::string& p : journal_->replayed().tail) apply(p);
+  }
   // A claim whose job file already left the spool crashed *after* the
   // move, before its D record: the work is fully done — settle it now.
   // What survives in published_ is picked up by process_file as a resume.
@@ -117,7 +106,9 @@ Daemon::Daemon(DaemonOptions opts) : opts_(std::move(opts)) {
   // so it never accumulates a long-lived daemon's full history.
   std::vector<std::string> pending;
   pending.reserve(published_.size());
-  for (const std::string& name : published_) pending.push_back("P " + name);
+  for (const std::string& name : published_) {
+    pending.push_back(encode_record("P", name));
+  }
   std::sort(pending.begin(), pending.end());
   journal_->snapshot(pending);
 }
@@ -129,8 +120,8 @@ JobFileReport Daemon::process_file(const std::string& path) {
   const fs::path done = fs::path(opts_.spool_dir) / "done";
   const fs::path failed = fs::path(opts_.spool_dir) / "failed";
 
-  // Per-file trace: one root span covering claim-to-move, with parse /
-  // publish children here and per-seed cache-lookup / compute /
+  // Per-file trace: one root span covering claim-to-move, with parse
+  // (run_job) / publish children and per-seed cache-lookup / compute /
   // cache-store children recorded by the BatchServer workers.
   std::optional<trace::Collector> tracer;
   std::uint32_t file_span = 0;
@@ -145,17 +136,7 @@ JobFileReport Daemon::process_file(const std::string& path) {
     if (!tracer) return;
     tracer->annotate(file_span, "outcome", outcome);
     tracer->end(file_span);
-    const trace::Trace t = tracer->finish();
-    if (opts_.trace_sink != nullptr) opts_.trace_sink->publish(t);
-    if (opts_.slow_ms != 0 &&
-        t.duration_ns > std::uint64_t{opts_.slow_ms} * 1'000'000ull) {
-      logx::warn("slow_job", {{"trace", t.id},
-                              {"endpoint", t.endpoint},
-                              {"duration_ms", static_cast<double>(
-                                                  t.duration_ns) /
-                                                  1e6},
-                              {"spans", trace::flatten_spans(t)}});
-    }
+    trace::finish_and_publish(*tracer, opts_.trace_sink, opts_.slow_ms);
   };
 
   try {
@@ -166,7 +147,7 @@ JobFileReport Daemon::process_file(const std::string& path) {
     if (published_.count(report.name) != 0 &&
         publication_complete(done, report.name)) {
       move_file(job_path, done / job_path.filename());
-      journal_->append("D " + report.name);
+      journal_->append(encode_record("D", report.name));
       published_.erase(report.name);
       report.ok = true;
       report.resumed = true;
@@ -178,49 +159,41 @@ JobFileReport Daemon::process_file(const std::string& path) {
       return report;
     }
 
-    BatchOptions batch_opts;
-    batch_opts.threads = opts_.threads;
-    batch_opts.cache = cache();
-    batch_opts.registry = reg_;
-    batch_opts.trace = tracer ? &*tracer : nullptr;
-    batch_opts.trace_parent = file_span;
-    BatchServer server(batch_opts);
-    std::uint32_t parse_span = 0;
-    if (tracer) parse_span = tracer->begin("parse", file_span);
-    server.submit_all(load_job_file(path));
-    if (tracer) tracer->end(parse_span);
-    if (server.num_jobs() == 0) throw JobError("job file contains no jobs");
-    const BatchResult result = server.serve();
+    // The shared serve path, so these bytes are the same ones the socket
+    // server returns in a RESULT frame.
+    const JobRun run = run_job(
+        read_job_file(path), job_path.filename().string(),
+        {.threads = opts_.threads,
+         .cache = cache(),
+         .registry = reg_,
+         .trace = tracer ? &*tracer : nullptr,
+         .trace_parent = file_span});
 
     report.ok = true;
-    report.runs = result.total_runs;
-    report.cache_hits = result.cache_hits;
-    report.computed = result.computed;
-    report.wall_seconds = result.wall_seconds;
+    report.runs = run.result.total_runs;
+    report.cache_hits = run.result.cache_hits;
+    report.computed = run.result.computed;
+    report.wall_seconds = run.result.wall_seconds;
 
     // Publish results before moving the job file: a crash between the two
     // leaves the file in the spool to be re-served (idempotent thanks to
-    // the cache), never a consumed-but-unreported job. Rendering goes
-    // through the shared report sink, so these bytes are the same ones
-    // the socket server returns in a RESULT frame.
+    // the cache), never a consumed-but-unreported job.
     std::uint32_t publish_span = 0;
     if (tracer) publish_span = tracer->begin("publish", file_span);
-    const RenderedResult rendered =
-        render_result(job_path.filename().string(), result);
-    write_text(done / (report.name + ".summary.csv"), rendered.summary_csv);
-    write_text(done / (report.name + ".runs.csv"), rendered.runs_csv);
-    write_text(done / (report.name + ".report.txt"), rendered.report_txt);
+    write_text(done / (report.name + ".summary.csv"), run.rendered.summary_csv);
+    write_text(done / (report.name + ".runs.csv"), run.rendered.runs_csv);
+    write_text(done / (report.name + ".report.txt"), run.rendered.report_txt);
     // `P name` lands durably (the append fdatasyncs) before the move: a
     // crash anywhere in the publish->move window is now recoverable as a
     // resume instead of a recompute-and-republish. An append failure only
     // costs that recoverability — the publication itself already
     // succeeded — so it degrades, not throws.
-    if (!journal_->append("P " + report.name)) {
+    if (!journal_->append(encode_record("P", report.name))) {
       logx::warn("spool_journal_append_failed", {{"file", report.name}});
     }
     failpoint::hit("daemon_publish_move");
     move_file(job_path, done / job_path.filename());
-    journal_->append("D " + report.name);
+    journal_->append(encode_record("D", report.name));
     if (tracer) {
       tracer->annotate(publish_span, "runs", report.runs);
       tracer->end(publish_span);

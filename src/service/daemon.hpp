@@ -24,7 +24,9 @@
 // fdatasync + rename + directory fsync), and the publish -> move window is
 // journaled in a write-ahead changelog (support/changelog.hpp): `P NAME`
 // lands durably after the three done-files exist and before the job file
-// moves, `D NAME` after the move. A daemon restarted over a spool whose
+// moves, `D NAME` after the move. NAME is the record key, escaped by the
+// changelog's record codec, so any file name — "my sweep" included —
+// replays as itself. A daemon restarted over a spool whose
 // predecessor died inside that window finds the P-without-D record, sees
 // the done files already complete, and *resumes*: it finishes the move
 // without recomputing and without rewriting a single published byte —

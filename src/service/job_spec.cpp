@@ -148,10 +148,12 @@ std::vector<JobSpec> parse_job_file(std::istream& is) {
   return jobs;
 }
 
-std::vector<JobSpec> load_job_file(const std::string& path) {
-  std::ifstream is(path);
+std::string read_job_file(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
   if (!is) fail("cannot open job file " + path);
-  return parse_job_file(is);
+  std::ostringstream os;
+  os << is.rdbuf();
+  return os.str();
 }
 
 }  // namespace distapx::service

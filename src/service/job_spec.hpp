@@ -80,7 +80,8 @@ JobSpec parse_job_line(const std::string& line);
 /// offending line number.
 std::vector<JobSpec> parse_job_file(std::istream& is);
 
-/// File-path convenience (throws JobError if the file cannot be opened).
-std::vector<JobSpec> load_job_file(const std::string& path);
+/// A job file's bytes (what run_job in report_sink.hpp takes). Throws
+/// JobError if the file cannot be opened.
+std::string read_job_file(const std::string& path);
 
 }  // namespace distapx::service

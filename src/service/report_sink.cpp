@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "service/job_spec.hpp"
 #include "support/table.hpp"
 
 namespace distapx::service {
@@ -33,6 +34,23 @@ RenderedResult render_result(const std::string& job_label,
       "hit_rate " + Table::fmt(hit_rate, 4) + "\n" +
       "wall_seconds " + Table::fmt(result.wall_seconds, 4) + "\n";
   return rendered;
+}
+
+JobRun run_job(std::string_view job_text, const std::string& label,
+               const BatchOptions& opts) {
+  BatchServer server(opts);
+  std::uint32_t parse_span = 0;
+  if (opts.trace != nullptr) {
+    parse_span = opts.trace->begin("parse", opts.trace_parent);
+  }
+  std::istringstream is{std::string(job_text)};
+  server.submit_all(parse_job_file(is));
+  if (opts.trace != nullptr) opts.trace->end(parse_span);
+  if (server.num_jobs() == 0) throw JobError("job file contains no jobs");
+  JobRun run;
+  run.result = server.serve();
+  run.rendered = render_result(label, run.result);
+  return run;
 }
 
 }  // namespace distapx::service

@@ -216,20 +216,6 @@ Fingerprint run_fingerprint(Fingerprinter job_prefix, std::uint64_t seed) {
   return job_prefix.digest();
 }
 
-namespace {
-
-/// Shared registry when passed, lazily-created private one otherwise, so
-/// the counter references below always bind and the hot path never null-
-/// checks. Idempotent across member initializers.
-metrics::Registry& ensure_registry(metrics::Registry* shared,
-                                   std::unique_ptr<metrics::Registry>& own) {
-  if (shared != nullptr) return *shared;
-  if (!own) own = std::make_unique<metrics::Registry>();
-  return *own;
-}
-
-}  // namespace
-
 CacheStats cache_stats_from(const metrics::Snapshot& snap) {
   CacheStats s;
   s.hits = snap.counter_or("cache_hits_total");
@@ -243,13 +229,13 @@ ResultCache::ResultCache(std::string dir, std::uint64_t budget_bytes,
                          metrics::Registry* registry)
     : dir_(std::move(dir)),
       budget_bytes_(budget_bytes),
-      hits_(ensure_registry(registry, own_registry_)
+      hits_(metrics::ensure_registry(registry, own_registry_)
                 .counter("cache_hits_total")),
-      misses_(ensure_registry(registry, own_registry_)
+      misses_(metrics::ensure_registry(registry, own_registry_)
                   .counter("cache_misses_total")),
-      stores_(ensure_registry(registry, own_registry_)
+      stores_(metrics::ensure_registry(registry, own_registry_)
                   .counter("cache_stores_total")),
-      rejected_(ensure_registry(registry, own_registry_)
+      rejected_(metrics::ensure_registry(registry, own_registry_)
                     .counter("cache_rejected_total")) {
   std::error_code ec;
   fs::create_directories(dir_, ec);
@@ -259,7 +245,7 @@ ResultCache::ResultCache(std::string dir, std::uint64_t budget_bytes,
   }
   if (budget_bytes_ > 0) {
     manager_ = std::make_unique<CacheManager>(
-        dir_, registry != nullptr ? registry : own_registry_.get());
+        dir_, &metrics::ensure_registry(registry, own_registry_));
     // Enforce immediately: a cache opened with a budget is within budget
     // before the first lookup, whatever a previous (possibly unbudgeted)
     // writer left behind.

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <map>
@@ -18,7 +19,6 @@
 
 #include "net/frame.hpp"
 #include "net/protocol.hpp"
-#include "service/batch_server.hpp"
 #include "service/job_spec.hpp"
 #include "service/report_sink.hpp"
 #include "support/log.hpp"
@@ -55,39 +55,6 @@ struct Completion {
   std::shared_ptr<trace::Collector> tracer;  ///< carried through from the job
   bool want_trace = false;
 };
-
-/// Journal record codecs. The S payload carries the raw job-file bytes
-/// (arbitrary content, newlines included), so this is a positional split
-/// on the first two spaces, not the whitespace-tokenized manifest syntax.
-std::string encode_submit_record(std::uint64_t submit_no,
-                                 std::string_view payload) {
-  std::string rec = "S " + std::to_string(submit_no) + " ";
-  rec.append(payload);
-  return rec;
-}
-
-/// Parses "S <no> <payload>" / "R <no>"; false for anything else.
-bool parse_journal_record(const std::string& rec, char& tag,
-                          std::uint64_t& submit_no, std::string& payload) {
-  if (rec.size() < 2 || (rec[0] != 'S' && rec[0] != 'R') || rec[1] != ' ') {
-    return false;
-  }
-  tag = rec[0];
-  std::size_t pos = 2;
-  std::uint64_t no = 0;
-  bool digits = false;
-  while (pos < rec.size() && rec[pos] >= '0' && rec[pos] <= '9') {
-    no = no * 10 + static_cast<std::uint64_t>(rec[pos] - '0');
-    ++pos;
-    digits = true;
-  }
-  if (!digits) return false;
-  submit_no = no;
-  if (tag == 'R') return pos == rec.size();
-  if (pos >= rec.size() || rec[pos] != ' ') return false;
-  payload = rec.substr(pos + 1);
-  return true;
-}
 
 /// One client connection's state machine.
 struct Conn {
@@ -217,12 +184,7 @@ SocketServerStats socket_stats_from(const metrics::Snapshot& snap) {
 
 SocketServer::SocketServer(SocketServerOptions opts)
     : opts_(std::move(opts)) {
-  if (opts_.registry != nullptr) {
-    reg_ = opts_.registry;
-  } else {
-    own_registry_ = std::make_unique<metrics::Registry>();
-    reg_ = own_registry_.get();
-  }
+  reg_ = &metrics::ensure_registry(opts_.registry, own_registry_);
   if (!opts_.cache_dir.empty()) {
     cache_.emplace(opts_.cache_dir, opts_.cache_budget, reg_);
   } else if (opts_.cache_budget != 0) {
@@ -241,33 +203,23 @@ SocketServer::SocketServer(SocketServerOptions opts)
     // retries land on warm entries instead of recomputing every row.
     // Without a cache there is nothing a recovery could usefully write,
     // so the records are just dropped.
-    std::map<std::uint64_t, std::string> unfinished;
-    const auto apply = [&unfinished](const std::string& rec) {
-      char tag = 0;
-      std::uint64_t no = 0;
-      std::string payload;
-      if (!parse_journal_record(rec, tag, no, payload)) return;
-      if (tag == 'S') {
-        unfinished.emplace(no, std::move(payload));
-      } else {
+    std::map<std::uint64_t, std::string> unfinished;  // by submit number
+    for (ChangelogRecord& rec : journal_->replayed_records()) {
+      const std::uint64_t no = std::strtoull(rec.key.c_str(), nullptr, 10);
+      if (rec.tag == "S") {
+        unfinished.emplace(no, std::move(rec.payload));
+      } else if (rec.tag == "R") {
         unfinished.erase(no);
       }
-    };
-    for (const std::string& r : journal_->replayed().snapshot) apply(r);
-    for (const std::string& r : journal_->replayed().tail) apply(r);
+    }
     if (!unfinished.empty() && cache_) {
       metrics::Counter& recovered =
           reg_->counter("socket_recovered_jobs_total");
       for (const auto& [no, payload] : unfinished) {
         try {
-          std::istringstream is(payload);
-          BatchOptions batch_opts;
-          batch_opts.threads = opts_.threads;
-          batch_opts.cache = &*cache_;
-          batch_opts.registry = reg_;
-          BatchServer server(batch_opts);
-          server.submit_all(parse_job_file(is));
-          server.serve();
+          run_job(payload, "submit-" + std::to_string(no),
+                  {.threads = opts_.threads, .cache = cache(),
+                   .registry = reg_});
           recovered.inc();
           logx::info("socket_job_recovered", {{"submit_no", no}});
         } catch (const std::exception& e) {
@@ -321,28 +273,22 @@ SocketServerStats SocketServer::run() {
     done.conn_seq = job.conn_seq;
     done.submit_no = job.submit_no;
     try {
-      std::istringstream is(job.payload);
-      BatchOptions batch_opts;
-      batch_opts.threads = opts_.threads;
-      batch_opts.cache = cache();
-      batch_opts.registry = reg_;
-      // Per-seed child spans (cache-lookup / compute / cache-store) hang
-      // off this lane's execute span.
-      batch_opts.trace = job.tracer.get();
-      batch_opts.trace_parent = exec_span;
-      BatchServer server(batch_opts);
-      server.submit_all(parse_job_file(is));
-      if (server.num_jobs() == 0) throw JobError("job file contains no jobs");
-      const BatchResult result = server.serve();
+      // Parse and per-seed child spans (cache-lookup / compute /
+      // cache-store) hang off this lane's execute span.
+      JobRun run = run_job(job.payload,
+                           "submit-" + std::to_string(job.submit_no),
+                           {.threads = opts_.threads,
+                            .cache = cache(),
+                            .registry = reg_,
+                            .trace = job.tracer.get(),
+                            .trace_parent = exec_span});
       if (job.tracer) {
-        job.tracer->annotate(exec_span, "runs", result.total_runs);
-        job.tracer->annotate(exec_span, "cache_hits", result.cache_hits);
+        job.tracer->annotate(exec_span, "runs", run.result.total_runs);
+        job.tracer->annotate(exec_span, "cache_hits", run.result.cache_hits);
       }
-      const RenderedResult rendered =
-          render_result("submit-" + std::to_string(job.submit_no), result);
-      done.result.summary_csv = rendered.summary_csv;
-      done.result.runs_csv = rendered.runs_csv;
-      done.result.report_txt = rendered.report_txt;
+      done.result = {std::move(run.rendered.summary_csv),
+                     std::move(run.rendered.runs_csv),
+                     std::move(run.rendered.report_txt)};
       if (net::result_wire_size(done.result) > net::kMaxWirePayload) {
         // Degrade to ERR rather than let encode_frame throw on the I/O
         // thread: the rows exist, they just cannot ride a u32-framed
@@ -365,22 +311,10 @@ SocketServerStats SocketServer::run() {
     return done;
   };
 
-  // Completes one trace: stamps open spans, publishes into the sink, and
-  // emits the slow_job line when the job blew the --slow-ms budget. The
-  // logger's per-event token bucket rate-limits a storm of slow jobs.
+  // Completes one trace: publishes it and emits the slow_job line when
+  // the job blew the --slow-ms budget.
   const auto finalize_trace = [this](trace::Collector& tr) {
-    trace::Trace t = tr.finish();
-    if (opts_.trace_sink != nullptr) opts_.trace_sink->publish(t);
-    if (opts_.slow_ms != 0 &&
-        t.duration_ns >
-            static_cast<std::uint64_t>(opts_.slow_ms) * 1'000'000ull) {
-      logx::warn("slow_job",
-                 {{"trace", t.id},
-                  {"endpoint", t.endpoint},
-                  {"duration_ms",
-                   static_cast<double>(t.duration_ns) / 1e6},
-                  {"spans", trace::flatten_spans(t)}});
-    }
+    trace::finish_and_publish(tr, opts_.trace_sink, opts_.slow_ms);
   };
 
   std::vector<std::thread> lanes;
@@ -438,7 +372,7 @@ SocketServerStats SocketServer::run() {
         // recovers nothing). The changelog's own mutex serializes this
         // against the I/O thread's S appends.
         if (journal_) {
-          journal_->append("R " + std::to_string(done.submit_no));
+          journal_->append(encode_record("R", std::to_string(done.submit_no)));
         }
         {
           std::lock_guard lock(mu);
@@ -634,8 +568,8 @@ SocketServerStats SocketServer::run() {
         // the S record or recovery has nothing to finish. An append
         // failure costs recoverability for this one job, nothing else.
         if (journal_ &&
-            !journal_->append(encode_submit_record(submit_no,
-                                                   frame.payload))) {
+            !journal_->append(encode_record("S", std::to_string(submit_no),
+                                            frame.payload))) {
           logx::warn("socket_journal_append_failed",
                      {{"no", submit_no}, {"trace", submit_no}});
         }

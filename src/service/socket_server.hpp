@@ -13,8 +13,8 @@
 // listener, a self-pipe, and every client connection through poll(2),
 // with a per-connection frame-decoding state machine; N executor lanes
 // (`lanes`) pull submitted job files from per-connection FIFO queues and
-// run each through a cache-backed BatchServer whose worker pool
-// (`threads`) is shared by all clients.
+// run each through run_job (report_sink.hpp) on a cache-backed
+// BatchServer whose worker pool (`threads`) is shared by all clients.
 //
 // Scheduling is fair, not globally FIFO: lanes pick the next job
 // round-robin across connections, so a client pipelining a burst of
@@ -49,13 +49,14 @@
 // that stop reading), then return from run().
 //
 // Crash recovery (opt-in via journal_path): every accepted SUBMIT is
-// journaled durably (`S no payload`, the raw job-file bytes) in a
-// write-ahead changelog before it is queued, and marked done (`R no`) at
-// completion. A server restarted over that journal re-executes the
-// S-without-R jobs through its cache-backed BatchServer *before the
-// listener opens* — not to re-deliver responses (those connections are
-// gone; clients retry), but to prewarm the cache so the retries hit warm
-// entries instead of recomputing (socket_recovered_jobs_total). The
+// journaled durably (`S no payload`, the raw job-file bytes, in the
+// changelog's record syntax) in a write-ahead changelog before it is
+// queued, and marked done (`R no`) at completion. A server restarted over
+// that journal re-executes the S-without-R jobs through run_job against
+// its cache *before the listener opens* — not to re-deliver responses
+// (those connections are gone; clients retry), but to prewarm the cache
+// so the retries hit warm entries instead of recomputing
+// (socket_recovered_jobs_total). The
 // journal is compacted to empty at startup and whenever the server goes
 // idle, so it holds in-flight work only, never history.
 #pragma once

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <cerrno>
+#include <charconv>
 #include <cstring>
 #include <filesystem>
 #include <system_error>
@@ -340,6 +341,70 @@ std::uint64_t Changelog::write_failures() const {
 std::uint64_t Changelog::payload_bytes() const {
   const std::lock_guard<std::mutex> lock(mu_);
   return tail_payload_bytes_ + snapshot_payload_bytes_;
+}
+
+std::string encode_record(std::string_view tag, std::string_view key,
+                          std::string_view payload) {
+  static constexpr char kHex[] = "0123456789ABCDEF";
+  std::string out(tag);
+  out += ' ';
+  for (const char ch : key) {
+    // The separator, the escape byte itself, and control bytes (records
+    // stay printable one-liners) never appear raw in a key.
+    const auto c = static_cast<unsigned char>(ch);
+    if (c <= ' ' || c == '%' || c == 0x7f) {
+      out += '%';
+      out += kHex[c >> 4];
+      out += kHex[c & 0xf];
+    } else {
+      out += ch;
+    }
+  }
+  if (!payload.empty()) {
+    out += ' ';
+    out.append(payload);
+  }
+  return out;
+}
+
+std::optional<ChangelogRecord> decode_record(std::string_view record) {
+  const std::size_t tag_end = record.find(' ');
+  if (tag_end == 0 || tag_end == std::string_view::npos) return std::nullopt;
+  ChangelogRecord rec;
+  rec.tag = record.substr(0, tag_end);
+  // With no payload key_end is npos, and the (wrapped) count still runs
+  // the key to the end of the record.
+  const std::size_t key_end = record.find(' ', tag_end + 1);
+  const std::string_view key =
+      record.substr(tag_end + 1, key_end - tag_end - 1);
+  for (std::size_t i = 0; i < key.size(); ++i) {
+    if (key[i] != '%') {
+      rec.key += key[i];
+      continue;
+    }
+    unsigned byte = 0;
+    const char* hex = key.data() + i + 1;
+    if (i + 2 >= key.size() ||
+        std::from_chars(hex, hex + 2, byte, 16).ptr != hex + 2) {
+      return std::nullopt;
+    }
+    rec.key += static_cast<char>(byte);
+    i += 2;
+  }
+  if (key_end != std::string_view::npos) {
+    rec.payload = record.substr(key_end + 1);
+  }
+  return rec;
+}
+
+std::vector<ChangelogRecord> Changelog::replayed_records() const {
+  std::vector<ChangelogRecord> records;
+  for (const auto* part : {&state_.snapshot, &state_.tail}) {
+    for (const std::string& payload : *part) {
+      if (auto rec = decode_record(payload)) records.push_back(std::move(*rec));
+    }
+  }
+  return records;
 }
 
 }  // namespace distapx

@@ -1,10 +1,10 @@
 // Write-ahead changelog: a framed, checksummed, torn-tail-tolerant
-// append-only record log with snapshot + compaction.
+// append-only record log with snapshot + compaction, plus the one record
+// syntax every consumer writes into it.
 //
-// manifest.hpp's line-oriented journal was the prototype: append cheaply,
-// replay on open, tolerate a torn tail. This module is the generalized,
-// binary-safe version the serving tier's crash-recovery is built on. A
-// changelog at base path P owns two files:
+// Append cheaply, replay on open, tolerate a torn tail: the serving
+// tier's crash recovery is built on this. A changelog at base path P owns
+// two files:
 //
 //   P.log    the tail: header + framed records, appended in arrival order
 //   P.snap   the snapshot: same format, atomically replaced by snapshot()
@@ -12,7 +12,15 @@
 // Record frame (little-endian):
 //   u32  payload length                        (<= kMaxRecordBytes)
 //   u64  checksum = fingerprint_bytes(payload).lo
-//   u8[] payload (opaque bytes; consumers define their own record syntax)
+//   u8[] payload (opaque bytes to the log itself)
+//
+// Record syntax (encode_record / decode_record): every consumer — the
+// cache manifest's F/T records, the spool daemon's P/D records, the
+// socket server's S/R records — writes `tag SP key [SP payload]`. The
+// key is %XX-escaped so it can hold any byte (a spool file named
+// "my sweep" stays one key); the payload is stored as is and runs to the
+// end of the record. Keys without space, '%' or control bytes encode as
+// themselves.
 //
 // Replay on open = every snapshot record, then every valid tail record.
 // The tail is scanned front to back and cut at the first frame that is
@@ -28,7 +36,8 @@
 // empty. A crash between the rename and the reset leaves records present
 // in both files; replay then delivers them twice, so consumers MUST apply
 // records idempotently (all current consumers do: cache-manifest F/T
-// records are upserts/touches, daemon P/D records are set operations).
+// records are upserts/touches, daemon P/D and socket S/R records are set
+// operations).
 //
 // fsync discipline follows the process-wide fsutil durability knob: at
 // kFull every append batch is fdatasync'd before append() returns (a
@@ -42,7 +51,7 @@
 // any thread (one internal mutex); replayed() is immutable post-open.
 // Cross-process appenders interleave at batch granularity (O_APPEND, one
 // write per batch) but snapshot() is last-writer-wins — multi-process use
-// stays advisory, exactly like the old manifest.
+// stays advisory.
 #pragma once
 
 #include <cstdint>
@@ -70,6 +79,24 @@ struct ChangelogState {
   /// clean shutdown.
   std::uint64_t torn_bytes = 0;
 };
+
+/// One decoded record: `tag SP key [SP payload]`.
+struct ChangelogRecord {
+  std::string tag;
+  std::string key;      ///< unescaped; may hold any byte
+  std::string payload;  ///< empty when the record has none
+};
+
+/// `tag SP escaped(key)`, then `SP payload` when the payload is non-empty.
+/// `tag` must be non-empty and free of spaces (the consumers' tags are
+/// single letters).
+std::string encode_record(std::string_view tag, std::string_view key,
+                          std::string_view payload = {});
+
+/// Inverse of encode_record: nullopt for a record with no tag, no
+/// separator after the tag, or a malformed %XX escape in the key.
+/// Consumers skip those, the way a torn tail is skipped.
+std::optional<ChangelogRecord> decode_record(std::string_view record);
 
 class Changelog {
  public:
@@ -99,6 +126,10 @@ class Changelog {
   [[nodiscard]] const ChangelogState& replayed() const noexcept {
     return state_;
   }
+
+  /// replayed() decoded with decode_record, snapshot first, malformed
+  /// records skipped.
+  [[nodiscard]] std::vector<ChangelogRecord> replayed_records() const;
 
   /// Appends one record (or a batch as a single write + single sync) to
   /// the tail; at fsutil::Durability::kFull the data is fdatasync'd

@@ -222,6 +222,12 @@ void Registry::set_refresh_hook(std::function<void()> hook) {
   refresh_hook_ = std::move(hook);
 }
 
+Registry& ensure_registry(Registry* shared, std::unique_ptr<Registry>& own) {
+  if (shared != nullptr) return *shared;
+  if (!own) own = std::make_unique<Registry>();
+  return *own;
+}
+
 Snapshot Registry::snapshot() const {
   std::function<void()> hook;
   {

@@ -244,6 +244,12 @@ class Registry {
   std::function<void()> refresh_hook_;
 };
 
+/// `shared` when non-null, else the private registry held in `own`
+/// (created on first call). Components that take an optional registry
+/// call this from each member initializer, so their metric references
+/// always bind and the hot path never null-checks.
+Registry& ensure_registry(Registry* shared, std::unique_ptr<Registry>& own);
+
 /// Prometheus text exposition (version 0.0.4) of a snapshot: one # TYPE
 /// header per metric base name (label variants grouped), cumulative
 /// _bucket/_sum/_count series per histogram, `prefix` prepended to every

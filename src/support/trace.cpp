@@ -7,6 +7,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "support/log.hpp"
+
 namespace distapx::trace {
 
 namespace {
@@ -558,6 +560,19 @@ std::string flatten_spans(const Trace& t) {
     out += format_duration_ms(s.duration_ns(t.duration_ns));
   }
   return out;
+}
+
+void finish_and_publish(Collector& collector, TraceSink* sink,
+                        std::uint32_t slow_ms) {
+  const Trace t = collector.finish();
+  if (sink != nullptr) sink->publish(t);
+  if (slow_ms != 0 && t.duration_ns > std::uint64_t{slow_ms} * 1'000'000ull) {
+    logx::warn("slow_job",
+               {{"trace", t.id},
+                {"endpoint", t.endpoint},
+                {"duration_ms", static_cast<double>(t.duration_ns) / 1e6},
+                {"spans", flatten_spans(t)}});
+  }
 }
 
 std::string render_tracez(const TraceSink& sink) {

@@ -291,6 +291,14 @@ std::string render_trace_tree(const Trace& t);
 /// slow_job log line's span breakdown.
 std::string flatten_spans(const Trace& t);
 
+/// Finishes `collector` (closing open spans) and publishes the trace into
+/// `sink` when non-null. A trace longer than `slow_ms` milliseconds (0 =
+/// never) also emits one `event=slow_job` warn with the flatten_spans
+/// breakdown; the logger's per-event token bucket rate-limits a storm of
+/// slow jobs.
+void finish_and_publish(Collector& collector, TraceSink* sink,
+                        std::uint32_t slow_ms);
+
 /// The whole GET /tracez page: recent traces (newest first), then the
 /// slowest-K reservoir per endpoint.
 std::string render_tracez(const TraceSink& sink);

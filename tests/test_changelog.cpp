@@ -8,12 +8,15 @@
 // snapshot() compacts atomically and resets the tail; foreign files are
 // refused, never clobbered; the fsync discipline follows the fsutil
 // durability knob; and the write-failure seam feeds the failure counters
-// the cache manager's manifest_append_failures_total is built on.
+// the cache manager's manifest_append_failures_total is built on. The
+// record codec round-trips any key and payload, decodes the records
+// earlier releases wrote, and rejects malformed records.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -292,6 +295,79 @@ TEST(Changelog, ConcurrentAppendersLoseNothing) {
   Changelog log(base);
   EXPECT_EQ(log.replayed().tail.size(),
             static_cast<std::size_t>(kThreads * kPerThread));
+}
+
+// ---- record codec -----------------------------------------------------------
+
+void expect_record(const std::optional<ChangelogRecord>& rec,
+                   const std::string& tag, const std::string& key,
+                   const std::string& payload) {
+  ASSERT_TRUE(rec.has_value());
+  EXPECT_EQ(rec->tag, tag);
+  EXPECT_EQ(rec->key, key);
+  EXPECT_EQ(rec->payload, payload);
+}
+
+TEST(ChangelogRecord, KeysAndPayloadsWithAnyByteRoundTrip) {
+  using namespace std::string_literals;
+  const std::vector<std::string> samples = {
+      "sweep", "my sweep", "line\nbreak", "nul\0byte"s, "100%", "%41",
+      " lead and trail ", "", "\xff\x7f\x01"};
+  for (const std::string& key : samples) {
+    for (const std::string& payload : samples) {
+      const std::string rec = encode_record("P", key, payload);
+      expect_record(decode_record(rec), "P", key, payload);
+    }
+  }
+  // A 1 MiB payload of every byte value rides as is: no escaping cost.
+  std::string big(1u << 20, '\0');
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<char>(i * 131 % 256);
+  }
+  const std::string rec = encode_record("S", "7", big);
+  EXPECT_EQ(rec.size(), big.size() + 4);
+  expect_record(decode_record(rec), "S", "7", big);
+}
+
+TEST(ChangelogRecord, RecordsInThePreviousFormatDecodeUnchanged) {
+  // What earlier releases wrote: whitespace-tokenized cache and spool
+  // records, and the socket journal's positional S/R records.
+  const std::string hex = "00112233445566778899aabbccddeeff";
+  const std::string job =
+      "gen=gnp:60:0.08 algo=luby seeds=1:4\n"
+      "# comment\n"
+      "gen=grid:6:6 algo=mcm-2eps seeds=1:3 eps=0.3\n";
+  expect_record(decode_record("F " + hex + " 97"), "F", hex, "97");
+  expect_record(decode_record("T " + hex), "T", hex, "");
+  expect_record(decode_record("P sweep"), "P", "sweep", "");
+  expect_record(decode_record("D sweep"), "D", "sweep", "");
+  expect_record(decode_record("S 7 " + job), "S", "7", job);
+  expect_record(decode_record("R 7"), "R", "7", "");
+  // And the encoder writes those same bytes.
+  EXPECT_EQ(encode_record("F", hex, "97"), "F " + hex + " 97");
+  EXPECT_EQ(encode_record("T", hex), "T " + hex);
+  EXPECT_EQ(encode_record("S", "7", job), "S 7 " + job);
+}
+
+TEST(ChangelogRecord, MalformedRecordsAreSkippedOnReplay) {
+  for (const char* bad : {"", " P sweep", "P", "Psweep", "P a%zz",
+                          "P a%4", "P a%"}) {
+    EXPECT_FALSE(decode_record(bad).has_value()) << bad;
+  }
+  const ScopedTempDir dir("distapx-wal-records");
+  const std::string base = base_in(dir);
+  {
+    Changelog log(base);
+    ASSERT_TRUE(log.snapshot({encode_record("P", "a b"), "P"}));
+    ASSERT_TRUE(log.append(" P x"));
+    ASSERT_TRUE(log.append(encode_record("D", "a b")));
+    ASSERT_TRUE(log.append("P a%zz"));
+  }
+  const Changelog log(base);
+  const std::vector<ChangelogRecord> records = log.replayed_records();
+  ASSERT_EQ(records.size(), 2u);
+  expect_record(records[0], "P", "a b", "");
+  expect_record(records[1], "D", "a b", "");
 }
 
 // ---- failpoints -------------------------------------------------------------

@@ -394,40 +394,47 @@ TEST(Daemon, RunServesABurstThenIdlesWithoutSpinning) {
 // ---- crash recovery ---------------------------------------------------------
 
 TEST(Daemon, CrashBetweenPublishAndMoveIsResumedExactlyOnce) {
-  const ScopedTempDir spool("distapx-spool-crash");
-  {
-    service::Daemon daemon(opts_for(spool));
-    spool_file(spool.path, "sweep", kGoodJobs);
-    // Kill the daemon in the publish->move window, after `P sweep` was
-    // journaled. A failpoint Failure unwinds like a real crash — it must
-    // not be swallowed into quarantine.
-    failpoint::arm("daemon_publish_move");
-    EXPECT_THROW(daemon.drain_once(), failpoint::Failure);
-  }
-  const fs::path done = spool.path / "done";
-  ASSERT_TRUE(fs::exists(spool.path / "sweep.job"));  // move never happened
-  ASSERT_TRUE(fs::exists(done / "sweep.runs.csv"));   // publication did
-  const std::string runs = slurp(done / "sweep.runs.csv");
-  const std::string summary = slurp(done / "sweep.summary.csv");
-  const std::string report_txt = slurp(done / "sweep.report.txt");
+  // "my sweep": the journal's P record must carry a name with whitespace
+  // as one key, or the restart cannot match it to the spooled file and
+  // recomputes instead of resuming.
+  for (const std::string name : {"sweep", "my sweep"}) {
+    SCOPED_TRACE(name);
+    const ScopedTempDir spool("distapx-spool-crash");
+    {
+      service::Daemon daemon(opts_for(spool));
+      spool_file(spool.path, name, kGoodJobs);
+      // Kill the daemon in the publish->move window, after `P name` was
+      // journaled. A failpoint Failure unwinds like a real crash — it
+      // must not be swallowed into quarantine.
+      failpoint::arm("daemon_publish_move");
+      EXPECT_THROW(daemon.drain_once(), failpoint::Failure);
+    }
+    const fs::path done = spool.path / "done";
+    const fs::path job = spool.path / (name + ".job");
+    ASSERT_TRUE(fs::exists(job));  // move never happened
+    ASSERT_TRUE(fs::exists(done / (name + ".runs.csv")));  // publication did
+    const std::string runs = slurp(done / (name + ".runs.csv"));
+    const std::string summary = slurp(done / (name + ".summary.csv"));
+    const std::string report_txt = slurp(done / (name + ".report.txt"));
 
-  // The restarted daemon resumes: finishes the move, recomputes nothing,
-  // rewrites nothing — every published byte is exactly the original.
-  service::Daemon daemon(opts_for(spool));
-  const auto reports = daemon.drain_once();
-  ASSERT_EQ(reports.size(), 1u);
-  EXPECT_TRUE(reports[0].ok);
-  EXPECT_TRUE(reports[0].resumed);
-  EXPECT_EQ(reports[0].runs, 0u);
-  EXPECT_EQ(reports[0].computed, 0u);
-  EXPECT_EQ(daemon.registry().counter("spool_resumed_total").value(), 1u);
-  EXPECT_EQ(slurp(done / "sweep.runs.csv"), runs);
-  EXPECT_EQ(slurp(done / "sweep.summary.csv"), summary);
-  EXPECT_EQ(slurp(done / "sweep.report.txt"), report_txt);
-  EXPECT_TRUE(fs::exists(done / "sweep.job"));
-  EXPECT_FALSE(fs::exists(spool.path / "sweep.job"));
-  // Settled for good: nothing left to claim, nothing to resume twice.
-  EXPECT_TRUE(daemon.drain_once().empty());
+    // The restarted daemon resumes: finishes the move, recomputes
+    // nothing, rewrites nothing — every published byte is the original.
+    service::Daemon daemon(opts_for(spool));
+    const auto reports = daemon.drain_once();
+    ASSERT_EQ(reports.size(), 1u);
+    EXPECT_TRUE(reports[0].ok);
+    EXPECT_TRUE(reports[0].resumed);
+    EXPECT_EQ(reports[0].runs, 0u);
+    EXPECT_EQ(reports[0].computed, 0u);
+    EXPECT_EQ(daemon.registry().counter("spool_resumed_total").value(), 1u);
+    EXPECT_EQ(slurp(done / (name + ".runs.csv")), runs);
+    EXPECT_EQ(slurp(done / (name + ".summary.csv")), summary);
+    EXPECT_EQ(slurp(done / (name + ".report.txt")), report_txt);
+    EXPECT_TRUE(fs::exists(done / (name + ".job")));
+    EXPECT_FALSE(fs::exists(job));
+    // Settled for good: nothing left to claim, nothing to resume twice.
+    EXPECT_TRUE(daemon.drain_once().empty());
+  }
 }
 
 TEST(Daemon, ClaimWhoseJobAlreadyLeftTheSpoolIsSettledAtStartup) {

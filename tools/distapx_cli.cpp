@@ -387,7 +387,8 @@ int run_batch(int argc, char** argv) {
 
   service::BatchServer server(batch_opts);
   try {
-    server.submit_all(service::load_job_file(job_file));
+    std::istringstream is(service::read_job_file(job_file));
+    server.submit_all(service::parse_job_file(is));
   } catch (const std::exception& e) {
     std::cerr << "error: " << job_file << ": " << e.what() << "\n";
     return 2;
