@@ -1,10 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <memory>
+#include <string>
 
+#include "coloring/linial.hpp"
+#include "coloring/rand_coloring.hpp"
 #include "graph/generators.hpp"
 #include "graph/line_graph.hpp"
+#include "matching/proposal.hpp"
+#include "maxis/layered_maxis.hpp"
+#include "mis/ghaffari_nmis.hpp"
+#include "mis/luby.hpp"
 #include "sim/aggregation.hpp"
 #include "sim/message.hpp"
 #include "sim/network.hpp"
@@ -282,6 +290,201 @@ TEST(Network, PortsAndNeighborsConsistent) {
   const auto res = net.run(
       [](NodeId) { return std::make_unique<PortCheck>(); }, opts);
   EXPECT_TRUE(res.metrics.completed);
+}
+
+// ---- golden engine rows ---------------------------------------------------
+//
+// Pins the exact metrics and outputs of the production node programs on two
+// fixed n = 2000 graphs. The values were recorded from the engine before its
+// transport was flattened (twin-port table, compact messages); any change to
+// delivery order, per-edge accounting or RNG wiring shows up here as a
+// mismatch. On a mismatch the test prints the measured table in source form.
+
+struct GoldenRow {
+  const char* graph;
+  std::uint64_t seed;
+  std::uint32_t rounds;
+  std::uint64_t messages;
+  std::uint64_t total_bits;
+  std::uint32_t max_edge_bits;
+  std::uint64_t outputs_fp;
+};
+
+/// FNV-1a over 64-bit words: a fingerprint of a run's per-node outputs.
+class Fingerprint {
+ public:
+  void add(std::uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (word >> (8 * i)) & 0xff;
+      h_ *= 0x100000001b3ull;
+    }
+  }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+const Graph& golden_graph(const std::string& name) {
+  static const Graph gnp = [] {
+    Rng rng(2024);
+    return gen::gnp(2000, 0.004, rng);
+  }();
+  static const Graph regular = [] {
+    Rng rng(2025);
+    return gen::random_regular(2000, 8, rng);
+  }();
+  return name == "gnp" ? gnp : regular;
+}
+
+const NodeWeights& golden_weights() {
+  static const NodeWeights w = [] {
+    Rng rng(2026);
+    return gen::uniform_node_weights(2000, 1024, rng);
+  }();
+  return w;
+}
+
+GoldenRow golden_row(const GoldenRow& want, const sim::RunMetrics& m,
+                     const Fingerprint& fp) {
+  return {want.graph,      want.seed,       m.rounds, m.messages,
+          m.total_bits,    m.max_edge_bits, fp.value()};
+}
+
+GoldenRow run_program_row(const GoldenRow& want,
+                          const sim::ProgramFactory& factory) {
+  sim::Network net(golden_graph(want.graph));
+  sim::RunOptions opts;
+  opts.seed = want.seed;
+  const auto r = net.run(factory, opts);
+  EXPECT_TRUE(r.metrics.completed);
+  Fingerprint fp;
+  for (NodeId v = 0; v < r.outputs.size(); ++v) {
+    fp.add(static_cast<std::uint64_t>(r.outputs[v]));
+    fp.add(r.halted[v] ? 1 : 0);
+  }
+  return golden_row(want, r.metrics, fp);
+}
+
+GoldenRow coloring_row(const GoldenRow& want, const ColoringResult& r) {
+  Fingerprint fp;
+  for (const Color c : r.colors) fp.add(c);
+  fp.add(r.num_colors);
+  EXPECT_TRUE(is_proper_coloring(golden_graph(want.graph), r.colors));
+  return golden_row(want, r.metrics, fp);
+}
+
+template <typename Measure>
+void check_golden(const char* algo, const std::vector<GoldenRow>& rows,
+                  Measure measure) {
+  std::string table;
+  bool all_match = true;
+  for (const GoldenRow& want : rows) {
+    const GoldenRow got = measure(want);
+    const bool match = got.rounds == want.rounds &&
+                       got.messages == want.messages &&
+                       got.total_bits == want.total_bits &&
+                       got.max_edge_bits == want.max_edge_bits &&
+                       got.outputs_fp == want.outputs_fp;
+    all_match = all_match && match;
+    char line[160];
+    std::snprintf(line, sizeof(line),
+                  "      {\"%s\", %llu, %u, %llu, %llu, %u, 0x%016llxull},\n",
+                  got.graph, static_cast<unsigned long long>(got.seed),
+                  got.rounds, static_cast<unsigned long long>(got.messages),
+                  static_cast<unsigned long long>(got.total_bits),
+                  got.max_edge_bits,
+                  static_cast<unsigned long long>(got.outputs_fp));
+    table += line;
+  }
+  EXPECT_TRUE(all_match) << algo << " rows differ; measured:\n" << table;
+}
+
+TEST(EngineGolden, Luby) {
+  const std::vector<GoldenRow> rows = {
+      {"gnp", 1, 10, 23077, 515088, 26, 0x05e5afa164f71524ull},
+      {"gnp", 7, 10, 22941, 512000, 26, 0xbd32f5bf9032f524ull},
+      {"regular", 1, 12, 23395, 518504, 26, 0xe84381812a3fa925ull},
+      {"regular", 7, 13, 22994, 513064, 26, 0xaf3bdb2a88e69d25ull},
+  };
+  check_golden("luby", rows, [](const GoldenRow& want) {
+    return run_program_row(
+        want, make_luby_program(golden_graph(want.graph)));
+  });
+}
+
+TEST(EngineGolden, Nmis) {
+  const std::vector<GoldenRow> rows = {
+      {"gnp", 1, 45, 70524, 631412, 10, 0xb81e95da31203525ull},
+      {"gnp", 7, 61, 74253, 661468, 10, 0x004fe4b4d5585125ull},
+      {"regular", 1, 43, 76511, 684696, 10, 0xbfcc8488b418d525ull},
+      {"regular", 7, 45, 75741, 678876, 10, 0xb54a32419ecb0925ull},
+  };
+  check_golden("nmis", rows, [](const GoldenRow& want) {
+    return run_program_row(
+        want, make_nmis_program(golden_graph(want.graph),
+                                NmisParams{}));
+  });
+}
+
+TEST(EngineGolden, MaxisAlg2) {
+  const std::vector<GoldenRow> rows = {
+      {"gnp", 1, 18, 36320, 543934, 26, 0x4f820a030b5b6924ull},
+      {"gnp", 7, 25, 35616, 535698, 26, 0xb2c1dfec05c1ed24ull},
+      {"regular", 1, 25, 36032, 540634, 26, 0x797f0cd976bbf524ull},
+      {"regular", 7, 21, 36429, 545526, 26, 0x706018da7d633925ull},
+  };
+  check_golden("maxis-alg2", rows, [](const GoldenRow& want) {
+    const NodeWeights& w = golden_weights();
+    return run_program_row(
+        want, make_layered_maxis_program(
+                  golden_graph(want.graph), w,
+                  *std::max_element(w.begin(), w.end())));
+  });
+}
+
+TEST(EngineGolden, LinialColoring) {
+  // Deterministic: the seed column is unused.
+  const std::vector<GoldenRow> rows = {
+      {"gnp", 0, 1351, 21645722, 324685830, 15, 0x1b12c60fb65bf51cull},
+      {"regular", 0, 281, 4496000, 58480000, 15, 0xb17afbe0f397d1aeull},
+  };
+  check_golden("linial", rows, [](const GoldenRow& want) {
+    return coloring_row(
+        want, linial_coloring(golden_graph(want.graph)));
+  });
+}
+
+TEST(EngineGolden, RandomColoring) {
+  const std::vector<GoldenRow> rows = {
+      {"gnp", 1, 10, 25608, 293310, 9, 0xb6b42df0d3632a88ull},
+      {"gnp", 7, 10, 26420, 297306, 9, 0xd35e30e6e9d2c115ull},
+      {"regular", 1, 12, 29530, 282352, 8, 0xa67039c5a0029a07ull},
+      {"regular", 7, 16, 29906, 284496, 8, 0x575bef97aaad6f4aull},
+  };
+  check_golden("random coloring", rows, [](const GoldenRow& want) {
+    return coloring_row(
+        want,
+        randomized_coloring(golden_graph(want.graph), want.seed));
+  });
+}
+
+TEST(EngineGolden, Proposal) {
+  const std::vector<GoldenRow> rows = {
+      {"gnp", 1, 82, 4551, 19868, 4, 0xf4e7e9d9e2174346ull},
+      {"gnp", 7, 115, 4503, 19448, 4, 0x537975912436fff0ull},
+      {"regular", 1, 78, 4446, 19548, 4, 0x4b5e9a4e843f1cfdull},
+      {"regular", 7, 111, 4399, 19232, 4, 0xd7c21e4a0f2cc129ull},
+  };
+  check_golden("proposal", rows, [](const GoldenRow& want) {
+    const auto r = run_proposal_matching(
+        golden_graph(want.graph), want.seed);
+    Fingerprint fp;
+    for (const EdgeId e : r.matching) fp.add(e);
+    fp.add(kInvalidEdge);
+    for (const NodeId v : r.unlucky) fp.add(v);
+    return golden_row(want, r.metrics, fp);
+  });
 }
 
 // ---- aggregation engine ---------------------------------------------------
