@@ -9,6 +9,8 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "support/assert.hpp"
@@ -18,21 +20,53 @@ namespace distapx::sim {
 
 /// A single message: type tag + fields with declared bit widths.
 ///
-/// Fields are stored inline (no heap allocation) up to kInlineFields; the
-/// overflow vector only engages for wide messages such as the naive
-/// line-graph forwarding ablation, so the per-round message churn in the
-/// simulator stays allocation-free on the hot paths.
+/// Sized for CONGEST, where a message is a few O(log n)-bit words: the
+/// first kInlineFields fields live inline, and the whole message is 40
+/// bytes, so staging and delivering it is a small fixed-size copy. Fields
+/// beyond those spill to a heap vector that is allocated only when a wider
+/// message is built (LOCAL-model programs, the naive line-graph ablation,
+/// the bandwidth tests); copies of such a message copy the spill, so every
+/// copy owns its fields.
 class Message {
  public:
   /// Cost charged for the type tag itself.
   static constexpr int kTypeBits = 4;
   /// Fields held without heap allocation.
-  static constexpr std::size_t kInlineFields = 6;
+  static constexpr std::size_t kInlineFields = 2;
 
   Message() = default;
   explicit Message(std::uint32_t type) : type_(type) {
     DISTAPX_ASSERT(type < (1u << kTypeBits));
   }
+
+  Message(const Message& other)
+      : type_(other.type_),
+        bits_(other.bits_),
+        count_(other.count_),
+        inline_(other.inline_),
+        spill_(other.spill_ ? std::make_unique<std::vector<std::uint64_t>>(
+                                  *other.spill_)
+                            : nullptr) {}
+  Message& operator=(const Message& other) {
+    if (this != &other) *this = Message(other);
+    return *this;
+  }
+  /// A moved-from message is left empty (no fields, no field bits).
+  Message(Message&& other) noexcept
+      : type_(other.type_),
+        bits_(std::exchange(other.bits_, 0)),
+        count_(std::exchange(other.count_, 0)),
+        inline_(other.inline_),
+        spill_(std::move(other.spill_)) {}
+  Message& operator=(Message&& other) noexcept {
+    type_ = other.type_;
+    bits_ = std::exchange(other.bits_, 0);
+    count_ = std::exchange(other.count_, 0);
+    inline_ = other.inline_;
+    spill_ = std::move(other.spill_);
+    return *this;
+  }
+  ~Message() = default;
 
   [[nodiscard]] std::uint32_t type() const noexcept { return type_; }
 
@@ -63,7 +97,7 @@ class Message {
 
   [[nodiscard]] std::uint64_t field(std::size_t i) const {
     DISTAPX_ASSERT(i < count_);
-    return i < kInlineFields ? inline_[i] : overflow_[i - kInlineFields];
+    return i < kInlineFields ? inline_[i] : (*spill_)[i - kInlineFields];
   }
 
   [[nodiscard]] double field_real(std::size_t i) const {
@@ -83,22 +117,27 @@ class Message {
     if (count_ < kInlineFields) {
       inline_[count_] = value;
     } else {
-      overflow_.push_back(value);
+      if (!spill_) spill_ = std::make_unique<std::vector<std::uint64_t>>();
+      spill_->push_back(value);
     }
     ++count_;
   }
 
   std::uint32_t type_ = 0;
   int bits_ = 0;
-  std::size_t count_ = 0;
+  std::uint32_t count_ = 0;
   std::array<std::uint64_t, kInlineFields> inline_{};
-  std::vector<std::uint64_t> overflow_;
+  std::unique_ptr<std::vector<std::uint64_t>> spill_;  // fields past inline_
 };
+
+static_assert(sizeof(Message) <= 40, "Message is staged and copied per send");
 
 /// A message as seen by its receiver: which local port it arrived on.
 struct Delivery {
   std::uint32_t port;
   Message msg;
 };
+
+static_assert(sizeof(Delivery) <= 48, "Delivery fills every inbox");
 
 }  // namespace distapx::sim

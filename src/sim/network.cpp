@@ -52,20 +52,18 @@ std::span<const Delivery> Ctx::inbox() const noexcept {
   return {net_->inbox_store_.data() + begin, net_->inbox_store_.data() + end};
 }
 
-void Ctx::send(std::uint32_t port, Message m) {
-  DISTAPX_ENSURE_MSG(port < net_->g_->degree(id_),
+void Ctx::send(std::uint32_t port, const Message& m) {
+  Network& net = *net_;
+  const std::uint32_t base = net.adj_base_[id_];
+  DISTAPX_ENSURE_MSG(port < net.adj_base_[id_ + 1] - base,
                      "node " << id_ << " sending on invalid port " << port);
-  const auto bits = static_cast<std::uint32_t>(m.total_bits());
-  const std::uint32_t slot = net_->adj_base_[id_] + port;
-  if (net_->out_bits_[slot] == 0) net_->touched_.push_back(slot);
-  net_->out_bits_[slot] += bits;
-  const NodeId to = neighbor(port);
-  Ctx peer;  // compute arrival port cheaply via the destination's view
-  peer.net_ = net_;
-  peer.id_ = to;
-  const std::uint32_t arrival = peer.port_of(id_);
-  DISTAPX_ASSERT(arrival != UINT32_MAX);
-  net_->staged_.push_back({to, arrival, std::move(m)});
+  const std::uint32_t slot = base + port;
+  if (net.out_bits_[slot] == 0) net.touched_.push_back(slot);
+  net.out_bits_[slot] += static_cast<std::uint32_t>(m.total_bits());
+  const NodeId to = net.g_->neighbors(id_)[port].to;
+  if (net.halted_[to]) return;  // dropped at the end of the round anyway
+  ++net.inbox_fill_[to];
+  net.staged_.emplace_back(to, net.twin_[slot], m);
 }
 
 void Ctx::broadcast(const Message& m) {
@@ -74,9 +72,11 @@ void Ctx::broadcast(const Message& m) {
 }
 
 void Ctx::halt(std::int64_t output) {
-  auto& slot = net_->slots_[id_];
-  slot.halted = true;
-  slot.output = output;
+  net_->slots_[id_].output = output;
+  if (!net_->halted_[id_]) {
+    net_->halted_[id_] = 1;
+    --net_->live_;
+  }
 }
 
 Network::Network(const Graph& g) { rebind(g); }
@@ -90,10 +90,30 @@ void Network::rebind(const Graph& g) {
   adj_base_.resize(n + 1);
   adj_base_[0] = 0;
   for (NodeId v = 0; v < n; ++v) adj_base_[v + 1] = adj_base_[v] + g.degree(v);
+
+  // Twin ports: both halves of edge e carry its id, so the first half seen
+  // parks its slot in first_slot[e] and the second half pairs with it.
+  twin_.resize(adj_base_[n]);
+  std::vector<std::uint32_t> first_slot(g.num_edges(), UINT32_MAX);
+  for (NodeId u = 0; u < n; ++u) {
+    const auto nbrs = g.neighbors(u);
+    for (std::uint32_t p = 0; p < nbrs.size(); ++p) {
+      const std::uint32_t slot = adj_base_[u] + p;
+      std::uint32_t& other = first_slot[nbrs[p].edge];
+      if (other == UINT32_MAX) {
+        other = slot;
+      } else {
+        twin_[other] = p;
+        twin_[slot] = other - adj_base_[nbrs[p].to];
+      }
+    }
+  }
+
   out_bits_.assign(adj_base_[n], 0);
   inbox_off_.assign(n + 1, 0);
   inbox_fill_.assign(n, 0);
   slots_.resize(n);
+  halted_.assign(n, 0);
   staged_.clear();
   touched_.clear();
 }
@@ -111,6 +131,9 @@ RunResult Network::run(const ProgramFactory& factory, const RunOptions& opts) {
   touched_.clear();
   std::fill(out_bits_.begin(), out_bits_.end(), 0);
   std::fill(inbox_off_.begin(), inbox_off_.end(), 0);
+  std::fill(inbox_fill_.begin(), inbox_fill_.end(), 0);
+  std::fill(halted_.begin(), halted_.end(), 0);
+  live_ = n;
 
   const Rng root(opts.seed);
   for (NodeId v = 0; v < n; ++v) {
@@ -118,7 +141,6 @@ RunResult Network::run(const ProgramFactory& factory, const RunOptions& opts) {
     slot.program = factory(v);
     DISTAPX_ENSURE(slot.program != nullptr);
     slot.rng = root.split(v);
-    slot.halted = false;
     slot.output = 0;
   }
 
@@ -127,8 +149,8 @@ RunResult Network::run(const ProgramFactory& factory, const RunOptions& opts) {
 
   auto sweep = [&](std::uint32_t round_idx, bool is_init) {
     for (NodeId v = 0; v < n; ++v) {
+      if (halted_[v]) continue;
       auto& slot = slots_[v];
-      if (slot.halted) continue;
       Ctx ctx;
       ctx.net_ = this;
       ctx.id_ = v;
@@ -148,33 +170,26 @@ RunResult Network::run(const ProgramFactory& factory, const RunOptions& opts) {
       sample.round = round_idx;
       sample.messages = result.metrics.messages - msgs_before;
       sample.bits = result.metrics.total_bits - bits_before;
-      for (const auto& slot : slots_) {
-        if (slot.halted) ++sample.nodes_halted;
-      }
+      sample.nodes_halted = n - live_;
       opts.observer(sample);
     }
   };
 
   sweep(0, /*is_init=*/true);
 
-  auto all_halted = [&] {
-    return std::all_of(slots_.begin(), slots_.end(),
-                       [](const NodeSlot& s) { return s.halted; });
-  };
-
   std::uint32_t round = 0;
-  while (!all_halted() && round < opts.max_rounds) {
+  while (live_ > 0 && round < opts.max_rounds) {
     ++round;
     sweep(round, /*is_init=*/false);
   }
   result.metrics.rounds = round;
-  result.metrics.completed = all_halted();
+  result.metrics.completed = live_ == 0;
 
   result.outputs.resize(n);
   result.halted.resize(n);
   for (NodeId v = 0; v < n; ++v) {
     result.outputs[v] = slots_[v].output;
-    result.halted[v] = slots_[v].halted;
+    result.halted[v] = halted_[v] != 0;
   }
   return result;
 }
@@ -199,29 +214,29 @@ void Network::deliver_and_account(RunMetrics& metrics) {
   }
   touched_.clear();
 
-  // Stable counting sort of the staged sends by destination: preserves the
-  // old per-node pending order (global send order) while keeping every
-  // inbox in one flat buffer. Messages addressed to halted nodes are
-  // dropped.
+  // Stable counting sort of the staged sends by receiver: send() already
+  // counted them, so one prefix pass turns the counts into cursors and one
+  // pass over staged_ moves each message into place in send order.
+  // Messages addressed to halted nodes are dropped.
   const NodeId n = g_->num_nodes();
-  std::fill(inbox_fill_.begin(), inbox_fill_.end(), 0);
-  for (const auto& s : staged_) {
-    if (!slots_[s.to].halted) ++inbox_fill_[s.to];
-  }
-  inbox_off_[0] = 0;
+  std::uint32_t total = 0;
   for (NodeId v = 0; v < n; ++v) {
-    inbox_off_[v + 1] = inbox_off_[v] + inbox_fill_[v];
+    inbox_off_[v] = total;
+    const std::uint32_t count = halted_[v] ? 0 : inbox_fill_[v];
+    inbox_fill_[v] = total;
+    total += count;
   }
-  const std::uint32_t total = inbox_off_[n];
+  inbox_off_[n] = total;
   metrics.messages += total;
   if (inbox_store_.size() < total) inbox_store_.resize(total);
-  for (NodeId v = 0; v < n; ++v) inbox_fill_[v] = inbox_off_[v];
   for (auto& s : staged_) {
-    if (slots_[s.to].halted) continue;
-    inbox_store_[inbox_fill_[s.to]++] = Delivery{s.arrival_port,
-                                                 std::move(s.msg)};
+    if (halted_[s.to]) continue;
+    Delivery& d = inbox_store_[inbox_fill_[s.to]++];
+    d.port = s.arrival_port;
+    d.msg = std::move(s.msg);
   }
   staged_.clear();
+  std::fill(inbox_fill_.begin(), inbox_fill_.end(), 0);
 }
 
 }  // namespace distapx::sim

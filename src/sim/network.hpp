@@ -47,8 +47,11 @@ struct BandwidthPolicy {
 /// Per-round progress sample delivered to RunOptions::observer.
 struct RoundSample {
   std::uint32_t round = 0;
-  std::uint64_t messages = 0;   ///< messages sent this round
-  std::uint64_t bits = 0;       ///< bits sent this round
+  /// Messages delivered this round; sends to nodes that have halted by
+  /// the end of the round are dropped and not counted (as in
+  /// RunMetrics::messages, which these samples sum to).
+  std::uint64_t messages = 0;
+  std::uint64_t bits = 0;       ///< bits sent this round (dropped sends too)
   NodeId nodes_halted = 0;      ///< cumulative halted nodes
 };
 
@@ -64,7 +67,9 @@ struct RunOptions {
 struct RunMetrics {
   std::uint32_t rounds = 0;          ///< number of round() sweeps executed
   std::uint64_t messages = 0;        ///< total messages delivered
-  std::uint64_t total_bits = 0;      ///< total declared wire bits
+  /// Total declared wire bits sent, including sends dropped because their
+  /// receiver had halted.
+  std::uint64_t total_bits = 0;
   std::uint32_t max_edge_bits = 0;   ///< max bits on one directed edge in one round
   std::uint32_t bandwidth_cap = 0;   ///< cap that applied (0 = none)
   bool completed = false;            ///< all nodes halted before max_rounds
@@ -113,8 +118,9 @@ class Ctx {
   /// Messages delivered this round.
   [[nodiscard]] std::span<const Delivery> inbox() const noexcept;
 
-  /// Queues a message on `port` for delivery next round.
-  void send(std::uint32_t port, Message m);
+  /// Queues a copy of `m` on `port` for delivery next round; the caller
+  /// may reuse or change `m` afterwards.
+  void send(std::uint32_t port, const Message& m);
   /// Queues a copy on every port.
   void broadcast(const Message& m);
 
@@ -148,11 +154,17 @@ using ProgramFactory =
 /// The synchronous engine.
 ///
 /// Message transport uses flat, preallocated buffers that persist across
-/// rounds AND across run() calls: sends append to one staged vector, and a
-/// stable counting sort by destination rebuilds the per-node inbox spans
-/// each round. A Network instance is therefore cheap to reuse for many
-/// seeded runs on the same graph (see run_many.hpp), with no per-round or
-/// per-run vector churn.
+/// rounds AND across run() calls, so a Network instance is cheap to reuse
+/// for many seeded runs on the same graph (see run_many.hpp):
+///  * rebind() builds a twin-port table in O(m): for every directed slot
+///    (u, port) the port on which the message arrives at the neighbor.
+///    send() reads the arrival port from it instead of searching the
+///    receiver's adjacency.
+///  * send() copies the 40-byte Message once into one staged vector and
+///    counts it against its receiver; at the end of the round a stable
+///    counting sort by receiver moves each staged message once into the
+///    flat inbox store, so every inbox lists its messages in send order.
+///  * A live-node count answers "has every node halted?" in O(1).
 class Network {
  public:
   /// An unbound Network; rebind() before run(). Lets pooled workers (the
@@ -182,12 +194,13 @@ class Network {
   struct NodeSlot {
     std::unique_ptr<NodeProgram> program;
     Rng rng{0};
-    bool halted = false;
     std::int64_t output = 0;
   };
 
   /// A sent message waiting for end-of-round delivery.
   struct Staged {
+    Staged(NodeId to_node, std::uint32_t port, const Message& m)
+        : to(to_node), arrival_port(port), msg(m) {}
     NodeId to;
     std::uint32_t arrival_port;
     Message msg;
@@ -197,16 +210,19 @@ class Network {
 
   const Graph* g_ = nullptr;
   std::vector<NodeSlot> slots_;
+  std::vector<std::uint8_t> halted_;  // per node, dense for send() and delivery
+  NodeId live_ = 0;                   // nodes not yet halted
   std::uint32_t cap_bits_ = 0;
   bool enforce_ = false;
 
   // Flat transport buffers (see class comment).
-  std::vector<Staged> staged_;          // sends of the current round
-  std::vector<Delivery> inbox_store_;   // all inboxes, back to back
+  std::vector<std::uint32_t> adj_base_;  // CSR base of node v's ports
+  std::vector<std::uint32_t> twin_;      // per directed slot: arrival port
+  std::vector<Staged> staged_;           // sends of the current round
+  std::vector<Delivery> inbox_store_;    // all inboxes, back to back
   std::vector<std::uint32_t> inbox_off_;   // node v's inbox = [off[v], off[v+1])
-  std::vector<std::uint32_t> inbox_fill_;  // counting-sort scratch
-  std::vector<std::uint32_t> adj_base_;    // CSR base of node v's ports
-  std::vector<std::uint32_t> out_bits_;    // per directed edge, this round
+  std::vector<std::uint32_t> inbox_fill_;  // sends per receiver, then cursor
+  std::vector<std::uint32_t> out_bits_;    // per directed slot, this round
   std::vector<std::uint32_t> touched_;     // dirty out_bits_ entries
 };
 

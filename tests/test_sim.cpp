@@ -45,6 +45,24 @@ TEST(Message, RealFields) {
   EXPECT_EQ(m.total_bits(), sim::Message::kTypeBits + 32);
 }
 
+TEST(Message, CopiesOwnTheirSpilledFields) {
+  sim::Message a(2);
+  for (std::uint64_t i = 0; i < 5; ++i) a.push(i, 8);
+  sim::Message b = a;
+  a.push(9, 8);
+  EXPECT_EQ(b.num_fields(), 5u);
+  EXPECT_EQ(b.field(4), 4u);
+  EXPECT_EQ(a.field(5), 9u);
+  b = a;
+  EXPECT_EQ(b.num_fields(), 6u);
+  EXPECT_EQ(b.total_bits(), a.total_bits());
+  const sim::Message c = std::move(a);
+  EXPECT_EQ(c.num_fields(), 6u);
+  EXPECT_EQ(c.field(5), 9u);
+  EXPECT_EQ(a.num_fields(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(a.total_bits(), sim::Message::kTypeBits);
+}
+
 TEST(BandwidthPolicy, Caps) {
   EXPECT_EQ(sim::BandwidthPolicy::local().cap_bits(1000), 0u);
   EXPECT_EQ(sim::BandwidthPolicy::congest(8).cap_bits(1024), 80u);
@@ -250,8 +268,10 @@ TEST(BandwidthEnforcement, NetworkIsReusableAfterViolation) {
 }
 
 TEST(Network, MessagesToHaltedNodesAreDropped) {
-  // Node 0 halts immediately; node 1 keeps sending to it; run ends when
-  // node 1 halts too. No crash, no delivery to a halted node.
+  // Path 0 - 1 - 2. Node 0 halts in init; nodes 1 and 2 broadcast a 4-bit
+  // message in rounds 1..3 and halt in round 3. Sends to node 0 are
+  // dropped, and so is everything sent in round 3, because both receivers
+  // have halted by the end of that round.
   class Quick final : public sim::NodeProgram {
    public:
     void init(sim::Ctx& ctx) override {
@@ -263,12 +283,149 @@ TEST(Network, MessagesToHaltedNodesAreDropped) {
       if (ctx.round() == 3) ctx.halt(1);
     }
   };
-  const Graph g = gen::path(2);
+  const Graph g = gen::path(3);
   sim::Network net(g);
   sim::RunOptions opts;
+  std::uint64_t sampled_messages = 0;
+  opts.observer = [&](const sim::RoundSample& s) {
+    sampled_messages += s.messages;
+  };
   const auto res = net.run(
       [](NodeId) { return std::make_unique<Quick>(); }, opts);
   EXPECT_TRUE(res.metrics.completed);
+  EXPECT_EQ(res.metrics.rounds, 3u);
+  // Delivered: 1 -> 2 and 2 -> 1 in rounds 1 and 2.
+  EXPECT_EQ(res.metrics.messages, 4u);
+  EXPECT_EQ(sampled_messages, res.metrics.messages);
+  // Dropped sends still cost their bits: 3 sends per round for 3 rounds.
+  EXPECT_EQ(res.metrics.total_bits, 3u * 3u * sim::Message::kTypeBits);
+}
+
+/// Every node broadcasts its id; every receiver checks that the arrival
+/// port names the sender and that each port delivers exactly once.
+class IdEcho final : public sim::NodeProgram {
+ public:
+  void init(sim::Ctx& ctx) override {
+    ctx.broadcast(sim::Message(1).push(ctx.id(), 32));
+  }
+  void round(sim::Ctx& ctx) override {
+    std::vector<int> seen(ctx.degree(), 0);
+    for (const sim::Delivery& d : ctx.inbox()) {
+      EXPECT_LT(d.port, ctx.degree());
+      if (d.port >= ctx.degree()) continue;
+      EXPECT_EQ(ctx.neighbor(d.port), d.msg.field(0))
+          << "at node " << ctx.id();
+      ++seen[d.port];
+    }
+    EXPECT_EQ(std::count(seen.begin(), seen.end(), 1),
+              static_cast<std::ptrdiff_t>(ctx.degree()));
+    ctx.halt(static_cast<std::int64_t>(ctx.inbox().size()));
+  }
+};
+
+TEST(Network, ArrivalPortNamesTheSender) {
+  Rng rng(11);
+  const Graph sparse = gen::gnp(200, 0.01, rng);
+  NodeId isolated = 0;
+  for (NodeId v = 0; v < sparse.num_nodes(); ++v) {
+    if (sparse.degree(v) == 0) ++isolated;
+  }
+  ASSERT_GT(isolated, 0u);
+  const Graph star = gen::star(40);
+  for (const Graph* g : {&sparse, &star}) {
+    sim::Network net(*g);
+    const auto res = net.run(
+        [](NodeId) { return std::make_unique<IdEcho>(); }, {});
+    EXPECT_TRUE(res.metrics.completed);
+    EXPECT_EQ(res.metrics.messages, 2u * g->num_edges());
+    for (NodeId v = 0; v < g->num_nodes(); ++v) {
+      EXPECT_EQ(res.outputs[v], g->degree(v));
+    }
+  }
+}
+
+/// LOCAL-model program: every node sends a 9-field message (eight integer
+/// fields, then one real) on each port in turn, pushing one more field onto
+/// the same Message after each send. Receivers read every field back, so a
+/// delivered copy that shared storage with the sender's Message would show
+/// the fields pushed after it was sent.
+class WideSender final : public sim::NodeProgram {
+ public:
+  explicit WideSender(const Graph& g) : g_(g) {}
+
+  static constexpr int kBaseBits = sim::Message::kTypeBits + 32 + 7 * 40 + 64;
+
+  void init(sim::Ctx& ctx) override {
+    const std::uint64_t id = ctx.id();
+    sim::Message m(2);
+    m.push(id, 32);
+    for (std::uint64_t i = 1; i < 8; ++i) m.push(id * 100 + i, 40);
+    m.push_real(static_cast<double>(id) + 0.25, 64);
+    for (std::uint32_t p = 0; p < ctx.degree(); ++p) {
+      ctx.send(p, m);
+      m.push(p, 32);
+    }
+  }
+
+  void round(sim::Ctx& ctx) override {
+    for (const sim::Delivery& d : ctx.inbox()) {
+      const NodeId from = ctx.neighbor(d.port);
+      const auto nbrs = g_.neighbors(from);
+      const auto sent_on = static_cast<std::uint64_t>(
+          std::find_if(nbrs.begin(), nbrs.end(),
+                       [&](const HalfEdge& he) { return he.to == ctx.id(); }) -
+          nbrs.begin());
+      const sim::Message& m = d.msg;
+      EXPECT_EQ(m.type(), 2u);
+      ASSERT_EQ(m.num_fields(), 9u + sent_on);
+      EXPECT_EQ(m.field(0), from);
+      for (std::uint64_t i = 1; i < 8; ++i) {
+        EXPECT_EQ(m.field(i), from * std::uint64_t{100} + i);
+      }
+      EXPECT_DOUBLE_EQ(m.field_real(8), static_cast<double>(from) + 0.25);
+      for (std::uint64_t k = 0; k < sent_on; ++k) {
+        EXPECT_EQ(m.field(9 + k), k);
+      }
+      EXPECT_EQ(m.total_bits(), kBaseBits + 32 * static_cast<int>(sent_on));
+    }
+    ctx.halt(static_cast<std::int64_t>(ctx.inbox().size()));
+  }
+
+ private:
+  const Graph& g_;
+};
+
+TEST(Network, WideMessagesSpillAndStayIndependentOfTheSender) {
+  Rng rng(12);
+  const Graph g = gen::gnp(30, 0.3, rng);
+  sim::Network net(g);
+  sim::RunOptions local;
+  local.policy = sim::BandwidthPolicy::local();
+  const auto wide = net.run(
+      [&](NodeId) { return std::make_unique<WideSender>(g); }, local);
+  EXPECT_TRUE(wide.metrics.completed);
+  EXPECT_EQ(wide.metrics.messages, 2u * g.num_edges());
+  EXPECT_EQ(wide.metrics.max_edge_bits,
+            static_cast<std::uint32_t>(WideSender::kBaseBits +
+                                       32 * (g.max_degree() - 1)));
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    EXPECT_EQ(wide.outputs[v], g.degree(v));
+  }
+
+  // The wide run leaves spilled messages behind in the reused buffers; a
+  // 1-field program on the same Network must match a fresh Network.
+  sim::RunOptions opts;
+  opts.seed = 5;
+  const auto reused = net.run(make_luby_program(g), opts);
+  sim::Network fresh_net(g);
+  const auto fresh = fresh_net.run(make_luby_program(g), opts);
+  EXPECT_TRUE(reused.metrics.completed);
+  EXPECT_EQ(reused.outputs, fresh.outputs);
+  EXPECT_EQ(reused.halted, fresh.halted);
+  EXPECT_EQ(reused.metrics.rounds, fresh.metrics.rounds);
+  EXPECT_EQ(reused.metrics.messages, fresh.metrics.messages);
+  EXPECT_EQ(reused.metrics.total_bits, fresh.metrics.total_bits);
+  EXPECT_EQ(reused.metrics.max_edge_bits, fresh.metrics.max_edge_bits);
 }
 
 TEST(Network, PortsAndNeighborsConsistent) {
