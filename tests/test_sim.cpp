@@ -17,6 +17,7 @@
 #include "sim/message.hpp"
 #include "sim/network.hpp"
 #include "support/assert.hpp"
+#include "support/fingerprint.hpp"
 
 namespace distapx {
 namespace {
@@ -467,21 +468,6 @@ struct GoldenRow {
   std::uint64_t outputs_fp;
 };
 
-/// FNV-1a over 64-bit words: a fingerprint of a run's per-node outputs.
-class Fingerprint {
- public:
-  void add(std::uint64_t word) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (word >> (8 * i)) & 0xff;
-      h_ *= 0x100000001b3ull;
-    }
-  }
-  [[nodiscard]] std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ull;
-};
-
 const Graph& golden_graph(const std::string& name) {
   static const Graph gnp = [] {
     Rng rng(2024);
@@ -503,9 +489,9 @@ const NodeWeights& golden_weights() {
 }
 
 GoldenRow golden_row(const GoldenRow& want, const sim::RunMetrics& m,
-                     const Fingerprint& fp) {
-  return {want.graph,      want.seed,       m.rounds, m.messages,
-          m.total_bits,    m.max_edge_bits, fp.value()};
+                     const Fingerprinter& fp) {
+  return {want.graph,   want.seed,       m.rounds,          m.messages,
+          m.total_bits, m.max_edge_bits, fp.digest().lo};
 }
 
 GoldenRow run_program_row(const GoldenRow& want,
@@ -515,18 +501,17 @@ GoldenRow run_program_row(const GoldenRow& want,
   opts.seed = want.seed;
   const auto r = net.run(factory, opts);
   EXPECT_TRUE(r.metrics.completed);
-  Fingerprint fp;
+  Fingerprinter fp;
   for (NodeId v = 0; v < r.outputs.size(); ++v) {
-    fp.add(static_cast<std::uint64_t>(r.outputs[v]));
-    fp.add(r.halted[v] ? 1 : 0);
+    fp.add_i64(r.outputs[v]).add_bool(r.halted[v]);
   }
   return golden_row(want, r.metrics, fp);
 }
 
 GoldenRow coloring_row(const GoldenRow& want, const ColoringResult& r) {
-  Fingerprint fp;
-  for (const Color c : r.colors) fp.add(c);
-  fp.add(r.num_colors);
+  Fingerprinter fp;
+  for (const Color c : r.colors) fp.add_u32(c);
+  fp.add_u32(r.num_colors);
   EXPECT_TRUE(is_proper_coloring(golden_graph(want.graph), r.colors));
   return golden_row(want, r.metrics, fp);
 }
@@ -559,10 +544,10 @@ void check_golden(const char* algo, const std::vector<GoldenRow>& rows,
 
 TEST(EngineGolden, Luby) {
   const std::vector<GoldenRow> rows = {
-      {"gnp", 1, 10, 23077, 515088, 26, 0x05e5afa164f71524ull},
-      {"gnp", 7, 10, 22941, 512000, 26, 0xbd32f5bf9032f524ull},
-      {"regular", 1, 12, 23395, 518504, 26, 0xe84381812a3fa925ull},
-      {"regular", 7, 13, 22994, 513064, 26, 0xaf3bdb2a88e69d25ull},
+      {"gnp", 1, 10, 23077, 515088, 26, 0xf82223e9343ad0d6ull},
+      {"gnp", 7, 10, 22941, 512000, 26, 0x320ee8fa1c244b0cull},
+      {"regular", 1, 12, 23395, 518504, 26, 0xa1eb3e62ef3143ebull},
+      {"regular", 7, 13, 22994, 513064, 26, 0x261835455dc82dafull},
   };
   check_golden("luby", rows, [](const GoldenRow& want) {
     return run_program_row(
@@ -572,10 +557,10 @@ TEST(EngineGolden, Luby) {
 
 TEST(EngineGolden, Nmis) {
   const std::vector<GoldenRow> rows = {
-      {"gnp", 1, 45, 70524, 631412, 10, 0xb81e95da31203525ull},
-      {"gnp", 7, 61, 74253, 661468, 10, 0x004fe4b4d5585125ull},
-      {"regular", 1, 43, 76511, 684696, 10, 0xbfcc8488b418d525ull},
-      {"regular", 7, 45, 75741, 678876, 10, 0xb54a32419ecb0925ull},
+      {"gnp", 1, 45, 70524, 631412, 10, 0x4098526ab088e366ull},
+      {"gnp", 7, 61, 74253, 661468, 10, 0xc9ab66ea0261faacull},
+      {"regular", 1, 43, 76511, 684696, 10, 0xa223c5cec2dfb7c7ull},
+      {"regular", 7, 45, 75741, 678876, 10, 0x0b488fcba7fdccf2ull},
   };
   check_golden("nmis", rows, [](const GoldenRow& want) {
     return run_program_row(
@@ -586,10 +571,10 @@ TEST(EngineGolden, Nmis) {
 
 TEST(EngineGolden, MaxisAlg2) {
   const std::vector<GoldenRow> rows = {
-      {"gnp", 1, 18, 36320, 543934, 26, 0x4f820a030b5b6924ull},
-      {"gnp", 7, 25, 35616, 535698, 26, 0xb2c1dfec05c1ed24ull},
-      {"regular", 1, 25, 36032, 540634, 26, 0x797f0cd976bbf524ull},
-      {"regular", 7, 21, 36429, 545526, 26, 0x706018da7d633925ull},
+      {"gnp", 1, 18, 36320, 543934, 26, 0x286abebf17f0d7f8ull},
+      {"gnp", 7, 25, 35616, 535698, 26, 0xfe35eb129de67ce4ull},
+      {"regular", 1, 25, 36032, 540634, 26, 0x036ccb323ed1c229ull},
+      {"regular", 7, 21, 36429, 545526, 26, 0x3e0c21e0cfa223f1ull},
   };
   check_golden("maxis-alg2", rows, [](const GoldenRow& want) {
     const NodeWeights& w = golden_weights();
@@ -603,8 +588,8 @@ TEST(EngineGolden, MaxisAlg2) {
 TEST(EngineGolden, LinialColoring) {
   // Deterministic: the seed column is unused.
   const std::vector<GoldenRow> rows = {
-      {"gnp", 0, 1351, 21645722, 324685830, 15, 0x1b12c60fb65bf51cull},
-      {"regular", 0, 281, 4496000, 58480000, 15, 0xb17afbe0f397d1aeull},
+      {"gnp", 0, 1351, 21645722, 324685830, 15, 0x4f84e951f8e01f47ull},
+      {"regular", 0, 281, 4496000, 58480000, 15, 0x5e6aa06bbd7e72fbull},
   };
   check_golden("linial", rows, [](const GoldenRow& want) {
     return coloring_row(
@@ -614,10 +599,10 @@ TEST(EngineGolden, LinialColoring) {
 
 TEST(EngineGolden, RandomColoring) {
   const std::vector<GoldenRow> rows = {
-      {"gnp", 1, 10, 25608, 293310, 9, 0xb6b42df0d3632a88ull},
-      {"gnp", 7, 10, 26420, 297306, 9, 0xd35e30e6e9d2c115ull},
-      {"regular", 1, 12, 29530, 282352, 8, 0xa67039c5a0029a07ull},
-      {"regular", 7, 16, 29906, 284496, 8, 0x575bef97aaad6f4aull},
+      {"gnp", 1, 10, 25608, 293310, 9, 0x65388ca9f484ec7aull},
+      {"gnp", 7, 10, 26420, 297306, 9, 0x9f4510c55e38b073ull},
+      {"regular", 1, 12, 29530, 282352, 8, 0x1228dcf8d0ad64f0ull},
+      {"regular", 7, 16, 29906, 284496, 8, 0x4f10b8b95d7e65a8ull},
   };
   check_golden("random coloring", rows, [](const GoldenRow& want) {
     return coloring_row(
@@ -628,18 +613,18 @@ TEST(EngineGolden, RandomColoring) {
 
 TEST(EngineGolden, Proposal) {
   const std::vector<GoldenRow> rows = {
-      {"gnp", 1, 82, 4551, 19868, 4, 0xf4e7e9d9e2174346ull},
-      {"gnp", 7, 115, 4503, 19448, 4, 0x537975912436fff0ull},
-      {"regular", 1, 78, 4446, 19548, 4, 0x4b5e9a4e843f1cfdull},
-      {"regular", 7, 111, 4399, 19232, 4, 0xd7c21e4a0f2cc129ull},
+      {"gnp", 1, 82, 4551, 19868, 4, 0xb4e92adc0a2f52d1ull},
+      {"gnp", 7, 115, 4503, 19448, 4, 0xbfd3de41b1df1cc2ull},
+      {"regular", 1, 78, 4446, 19548, 4, 0x9b2fbe9bfb59cab7ull},
+      {"regular", 7, 111, 4399, 19232, 4, 0x0fdcba3096af64f9ull},
   };
   check_golden("proposal", rows, [](const GoldenRow& want) {
     const auto r = run_proposal_matching(
         golden_graph(want.graph), want.seed);
-    Fingerprint fp;
-    for (const EdgeId e : r.matching) fp.add(e);
-    fp.add(kInvalidEdge);
-    for (const NodeId v : r.unlucky) fp.add(v);
+    Fingerprinter fp;
+    for (const EdgeId e : r.matching) fp.add_u32(e);
+    fp.add_u32(kInvalidEdge);
+    for (const NodeId v : r.unlucky) fp.add_u32(v);
     return golden_row(want, r.metrics, fp);
   });
 }
