@@ -105,6 +105,7 @@ void Network::rebind(const Graph& g) {
       } else {
         twin_[other] = p;
         twin_[slot] = other - adj_base_[nbrs[p].to];
+        DISTAPX_ASSERT(g.neighbors(nbrs[p].to)[twin_[slot]].to == u);
       }
     }
   }
