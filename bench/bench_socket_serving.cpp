@@ -16,7 +16,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -431,46 +430,48 @@ void socket_tracing_overhead() {
   const std::string reference = serve_in_process(threads, nullptr);
   const bool was_enabled = trace::enabled();
   constexpr int kClients = 2;
-  constexpr int kPerClient = 6;
-  constexpr int kMaxRounds = 8;  // remeasure until the noise floor clears
+  constexpr int kPerClient = 12;  // per slice
+  // A round is kSlices slices of each mode, interleaved: ~300 ms per mode
+  // at 4 lanes, and both modes share the same stretch of background load.
+  constexpr int kSlices = 12;
+  constexpr int kMaxRounds = 16;  // remeasure until the noise floor clears
+  constexpr int kTotal = kClients * kPerClient * kSlices;  // per mode, round
 
   struct Mode {
+    Mode(const char* n, bool on) : name(n), tracing(on) {}
     const char* name;
     bool tracing;
-    fs::path sock_dir, cache_dir;
-    std::optional<trace::TraceSink> sink;
-    std::optional<service::SocketServer> server;
-    std::optional<std::thread> io;
     double best_s = 1e9;
+    int slices = 0;
   };
 
   Table t({"lanes", "tracing", "best_s", "req_per_s", "overhead_pct"});
   for (const unsigned lanes : {1u, 4u}) {
-    Mode modes[2] = {{"off", false}, {"on", true}};
-    for (Mode& m : modes) {
-      const std::string tag =
-          std::string("trace-") + m.name + "-" + std::to_string(lanes);
-      m.sock_dir = scratch_dir(tag);
-      m.cache_dir = scratch_dir(tag + "-cache");
-      fs::create_directories(m.sock_dir);
-      m.sink.emplace();
-      service::SocketServerOptions opts;
-      opts.endpoint = net::parse_endpoint((m.sock_dir / "dx.sock").string());
-      opts.threads = threads;
-      opts.lanes = lanes;
-      opts.cache_dir = m.cache_dir.string();
-      opts.trace_sink = &*m.sink;
-      m.server.emplace(std::move(opts));
-      m.io.emplace([&server = *m.server] { (void)server.run(); });
-      // Warm the cache (outside the measurement) under the mode's own
-      // tracing state.
-      trace::set_enabled(m.tracing);
-      net::Client client = net::Client::connect(m.server->endpoint());
+    // One server serves both modes; only the kill switch flips between
+    // slices. Two servers would add their own difference (thread
+    // placement, cache files) to the one being measured.
+    const std::string tag = "trace-" + std::to_string(lanes);
+    const fs::path sock_dir = scratch_dir(tag);
+    const fs::path cache_dir = scratch_dir(tag + "-cache");
+    fs::create_directories(sock_dir);
+    trace::TraceSink sink;
+    service::SocketServerOptions opts;
+    opts.endpoint = net::parse_endpoint((sock_dir / "dx.sock").string());
+    opts.threads = threads;
+    opts.lanes = lanes;
+    opts.cache_dir = cache_dir.string();
+    opts.trace_sink = &sink;
+    service::SocketServer server(std::move(opts));
+    std::thread io([&server] { (void)server.run(); });
+    // Warm the cache outside the measurement, untraced.
+    trace::set_enabled(false);
+    {
+      net::Client client = net::Client::connect(server.endpoint());
       const auto outcome = client.submit(kJobFile);
       DISTAPX_ENSURE(outcome.ok && outcome.result.runs_csv == reference);
     }
 
-    const auto one_round = [&](Mode& m) {
+    const auto one_slice = [&](Mode& m) {
       trace::set_enabled(m.tracing);
       std::atomic<int> mismatches{0};
       const auto t0 = Clock::now();
@@ -478,7 +479,7 @@ void socket_tracing_overhead() {
       workers.reserve(kClients);
       for (int c = 0; c < kClients; ++c) {
         workers.emplace_back([&] {
-          net::Client client = net::Client::connect(m.server->endpoint());
+          net::Client client = net::Client::connect(server.endpoint());
           for (int r = 0; r < kPerClient; ++r) client.send_submit(kJobFile);
           for (int r = 0; r < kPerClient; ++r) {
             const auto outcome = client.recv_submit();
@@ -491,33 +492,43 @@ void socket_tracing_overhead() {
       for (auto& w : workers) w.join();
       const double wall = seconds_since(t0);
       DISTAPX_ENSURE(mismatches.load() == 0);
+      ++m.slices;
       return wall;
     };
 
-    // Alternate on/off rounds and keep the per-mode minimum: interleaving
-    // damps machine drift, min-wall damps one-off scheduler spikes. Stop
-    // early once the ratio is inside the tolerance.
+    // Alternate on/off slices (and which goes first) and keep each mode's
+    // minimum round: interleaving damps machine drift, min-wall damps
+    // one-off scheduler spikes. Stop early once the ratio is inside the
+    // tolerance.
+    Mode modes[2] = {{"off", false}, {"on", true}};
     double ratio = 1e9;
     for (int round = 0; round < kMaxRounds; ++round) {
-      for (Mode& m : modes) m.best_s = std::min(m.best_s, one_round(m));
+      double wall[2] = {0, 0};
+      for (int slice = 0; slice < kSlices; ++slice) {
+        for (int i = 0; i < 2; ++i) {
+          const int m = (slice + i) % 2;
+          wall[m] += one_slice(modes[m]);
+        }
+      }
+      for (int m = 0; m < 2; ++m) {
+        modes[m].best_s = std::min(modes[m].best_s, wall[m]);
+      }
       ratio = modes[1].best_s / modes[0].best_s;
       if (round >= 2 && ratio <= 1.03) break;
     }
 
-    for (Mode& m : modes) {
-      m.server->request_stop();
-      m.io->join();
-    }
-    // Off = no collectors anywhere, so nothing could have been published;
-    // on = every completed SUBMIT landed in the sink.
-    DISTAPX_ENSURE(modes[0].sink->published_total() == 0);
-    DISTAPX_ENSURE(modes[1].sink->published_total() > 0);
-    for (Mode& m : modes) {
-      fs::remove_all(m.sock_dir);
-      fs::remove_all(m.cache_dir);
-    }
+    server.request_stop();
+    io.join();
+    // Off = no collectors anywhere, so off slices published nothing; on =
+    // every completed SUBMIT landed in the sink (a trace publishes after
+    // its response is flushed, so count only once the server has
+    // stopped).
+    DISTAPX_ENSURE(sink.published_total() ==
+                   static_cast<std::uint64_t>(modes[1].slices) * kClients *
+                       kPerClient);
+    fs::remove_all(sock_dir);
+    fs::remove_all(cache_dir);
 
-    constexpr int kTotal = kClients * kPerClient;
     for (const Mode& m : modes) {
       t.add_row({Table::fmt(static_cast<std::uint64_t>(lanes)), m.name,
                  Table::fmt(m.best_s, 4),

@@ -241,7 +241,6 @@ struct AdminServer::Impl {
         return;
       }
       if (pfds[0].revents != 0) wake.drain();
-      if (pfds[1].revents & POLLIN) accept_new();
 
       const std::uint64_t now = now_ms();
       std::size_t i = 2;
@@ -261,6 +260,8 @@ struct AdminServer::Impl {
         }
         it = close ? conns.erase(it) : std::next(it);
       }
+      // Only after the loop: pfds has no entries for new connections.
+      if (pfds[1].revents & POLLIN) accept_new();
     }
   }
 

@@ -15,11 +15,10 @@
 //             themselves (explicitly, or via the thread-local Context so
 //             deep layers like ResultCache can annotate the span that is
 //             currently open without signature changes).
-//   TraceSink the server-wide retention buffer: a fixed-slot,
-//             seqlock-stamped ring of the last N completed traces, plus a
-//             "slowest K per endpoint" reservoir. GET /tracez renders
-//             both; `submit --trace` echoes one trace before it is even
-//             published.
+//   TraceSink the server-wide retention buffer: a mutex-guarded ring of
+//             the last N completed traces, plus a "slowest K per
+//             endpoint" reservoir. GET /tracez renders both; `submit
+//             --trace` echoes one trace before it is even published.
 //
 // Cost model: tracing is always-on. When the runtime kill switch is off
 // (DISTAPX_TRACE=off, or set_enabled(false)), the serving layers create
@@ -27,10 +26,9 @@
 // thread-local load and a null check. When on, opening+closing a span is
 // two steady_clock reads and one short uncontended mutex-protected append
 // to the job's own Collector; publication into the sink happens once per
-// *job* (not per span) and copies the encoded trace into a slot as
-// relaxed atomic words under a seqlock stamp, so concurrent /tracez
-// readers never lock writers out and never observe a torn trace —
-// a reader that catches a slot mid-write simply retries or skips it.
+// *job* (not per span) and moves the budget-cut trace into the ring under
+// one short sink mutex hold. /tracez readers copy under the same mutex;
+// with one publish per job, the lock is held briefly and rarely contended.
 //
 // Nothing here participates in the determinism contract: traces carry
 // wall-clock timings only and never touch RESULT payload bytes.
@@ -40,7 +38,6 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -85,7 +82,7 @@ struct Trace {
   std::string endpoint;        ///< "submit", "spool", ...
   std::uint64_t start_unix_ms = 0;  ///< wall clock, display only
   std::uint64_t duration_ns = 0;    ///< trace start -> finish/snapshot
-  std::uint32_t dropped_spans = 0;  ///< beyond kMaxSpansPerTrace or slot space
+  std::uint32_t dropped_spans = 0;  ///< beyond kMaxSpansPerTrace or slot_bytes
   std::vector<Span> spans;
 };
 
@@ -194,26 +191,18 @@ void annotate_current(std::string_view key, std::uint64_t value);
 struct SinkOptions {
   std::size_t recent_slots = 128;        ///< last-N ring
   std::size_t slowest_per_endpoint = 8;  ///< reservoir size K
-  /// Byte budget per slot; a trace whose encoding exceeds it keeps its
-  /// earliest spans and counts the rest into dropped_spans.
+  /// Per-trace byte budget (names, notes and fixed per-span fields; at
+  /// least 256). A trace over it keeps its earliest whole spans and
+  /// counts the rest into dropped_spans.
   std::size_t slot_bytes = 16 * 1024;
 };
 
 /// Server-wide retention: the last N completed traces plus the slowest K
-/// per endpoint. publish() is called once per completed job; readers
-/// (GET /tracez) decode slots without taking any writer-side lock.
-///
-/// Concurrency: every slot is an array of relaxed-atomic words stamped
-/// with a seqlock sequence. Writers claim a slot's stamp with a CAS to an
-/// odd value, copy the encoded trace word-by-word, then release-store the
-/// even successor; readers copy the words between two stamp loads and
-/// discard the copy unless both loads agree on an even value. Slot
-/// assignment is a single fetch_add on the ring head, so concurrent
-/// publishers collide on one slot only after lapping the whole ring
-/// mid-write — and then the stamp CAS makes the late writer spin, never
-/// tear. The slowest-K tables serialize *writers* through a small mutex
-/// (publication is per job, not per span); their readers use the same
-/// lock-free slot protocol.
+/// per endpoint. publish() is called once per completed job, so one mutex
+/// guards both containers: publish() cuts the trace to the byte budget
+/// and moves it into the ring (copying it into the endpoint's slowest-K
+/// table when it beats the table's fastest entry); recent() and slowest()
+/// copy out under the same mutex, so a reader never sees a partial trace.
 class TraceSink {
  public:
   explicit TraceSink(SinkOptions opts = {});
@@ -222,10 +211,10 @@ class TraceSink {
 
   void publish(const Trace& t);
 
-  /// Decoded retained traces, newest first. Size <= recent_slots.
+  /// Retained traces, newest first. Size <= recent_slots.
   [[nodiscard]] std::vector<Trace> recent() const;
   /// Per endpoint (sorted by name), the retained slowest traces, slowest
-  /// first. Size of each <= slowest_per_endpoint.
+  /// first (ties by id). Size of each <= slowest_per_endpoint.
   [[nodiscard]] std::vector<std::pair<std::string, std::vector<Trace>>>
   slowest() const;
 
@@ -235,44 +224,16 @@ class TraceSink {
   [[nodiscard]] const SinkOptions& options() const noexcept { return opts_; }
 
  private:
-  struct Slot {
-    std::atomic<std::uint64_t> seq{0};  ///< 0 = never written; odd = busy
-    std::unique_ptr<std::atomic<std::uint64_t>[]> words;
-  };
-  struct SlowTable {
-    std::mutex writer_mu;
-    std::vector<Slot> slots;
-    /// Duration per slot, 0 = empty. The fast reject path (full table,
-    /// new trace no slower than the floor) reads `floor` only.
-    std::unique_ptr<std::atomic<std::uint64_t>[]> durations;
-    std::atomic<std::uint64_t> floor{0};  ///< min duration once full
-    std::atomic<std::size_t> filled{0};
-  };
-
-  void write_slot(Slot& slot, const std::string& encoded) const;
-  [[nodiscard]] bool read_slot(const Slot& slot, std::string& out) const;
-  SlowTable& table_for(const std::string& endpoint);
-
   SinkOptions opts_;
-  std::size_t words_per_slot_;
-  std::vector<Slot> ring_;
-  std::atomic<std::uint64_t> head_{0};       ///< next ring slot (mod size)
-  std::atomic<std::uint64_t> published_{0};  ///< also the publish stamp
-  mutable std::mutex tables_mu_;  ///< guards the map, never the slots
-  std::map<std::string, std::unique_ptr<SlowTable>> tables_;
+  std::atomic<std::uint64_t> published_{0};
+  mutable std::mutex mu_;
+  std::vector<Trace> ring_;  ///< guarded by mu_; grows to recent_slots
+  std::size_t next_ = 0;     ///< guarded by mu_; slot the next publish fills
+  /// Guarded by mu_; each list slowest first (ties by id).
+  std::map<std::string, std::vector<Trace>> slowest_;
 };
 
-// ---- encoding & rendering ------------------------------------------------
-
-/// Compact binary encoding of a trace, truncated to `max_bytes` (whole
-/// spans only; the cut count lands in dropped_spans). `stamp` orders
-/// decoded traces newest-first. Exposed for the torn-read tests.
-std::string encode_trace(const Trace& t, std::uint64_t stamp,
-                         std::size_t max_bytes);
-/// Strict inverse; false on any truncation or length inconsistency (a
-/// torn slot copy must never decode). `stamp_out` may be null.
-bool decode_trace(std::string_view bytes, Trace& out,
-                  std::uint64_t* stamp_out);
+// ---- rendering -----------------------------------------------------------
 
 /// "12.345ms" — fixed sub-ms precision so columns align in /tracez.
 std::string format_duration_ms(std::uint64_t ns);

@@ -1,8 +1,7 @@
-// Per-job tracing plane: collector span trees, the binary trace
-// encoding, ring retention, slowest-K reservoir semantics, rendering,
-// and — under the TSan CI lane (TraceConcurrency) — the seqlock slot
-// protocol: concurrent publishers and readers must never observe a torn
-// trace.
+// Per-job tracing plane: collector span trees, the sink's per-trace byte
+// budget, ring retention, slowest-K reservoir semantics, rendering, and —
+// under the TSan CI lane (TraceConcurrency) — the sink's locking:
+// concurrent publishers and readers must never observe a torn trace.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -103,52 +102,37 @@ TEST(Trace, ContextGuardRoutesScopedSpansAndAnnotations) {
   EXPECT_EQ(t.spans[1].notes, "seed=5 outcome=miss");
 }
 
-TEST(Trace, EncodeDecodeRoundTrips) {
-  const Trace t = make_trace(42, "submit", 5);
-  const std::string bytes = encode_trace(t, /*stamp=*/77, /*max_bytes=*/1 << 16);
-  Trace back;
-  std::uint64_t stamp = 0;
-  ASSERT_TRUE(decode_trace(bytes, back, &stamp));
-  EXPECT_EQ(stamp, 77u);
-  EXPECT_EQ(back.id, t.id);
-  EXPECT_EQ(back.endpoint, t.endpoint);
-  EXPECT_EQ(back.duration_ns, t.duration_ns);
-  ASSERT_EQ(back.spans.size(), t.spans.size());
-  for (std::size_t i = 0; i < t.spans.size(); ++i) {
-    EXPECT_EQ(back.spans[i].name, t.spans[i].name);
-    EXPECT_EQ(back.spans[i].parent, t.spans[i].parent);
-    EXPECT_EQ(back.spans[i].start_ns, t.spans[i].start_ns);
-    EXPECT_EQ(back.spans[i].end_ns, t.spans[i].end_ns);
-    EXPECT_EQ(back.spans[i].notes, t.spans[i].notes);
-  }
-}
-
-TEST(Trace, EncodeTruncatesWholeSpansIntoDroppedCount) {
+TEST(Trace, SinkCutsTracesToWholeSpansWithinSlotBytes) {
   const Trace t = make_trace(1, "submit", 64);
-  // Small budget: only a prefix of spans fits.
-  const std::string bytes = encode_trace(t, 1, /*max_bytes=*/256);
-  EXPECT_LE(bytes.size(), 256u);
-  Trace back;
-  ASSERT_TRUE(decode_trace(bytes, back, nullptr));
-  EXPECT_LT(back.spans.size(), t.spans.size());
-  EXPECT_EQ(back.dropped_spans,
-            static_cast<std::uint32_t>(t.spans.size() - back.spans.size()));
-  // The survivors are the earliest spans, intact.
-  for (std::size_t i = 0; i < back.spans.size(); ++i) {
-    EXPECT_EQ(back.spans[i].name, t.spans[i].name);
-  }
-}
+  SinkOptions opts;
+  opts.slot_bytes = 256;  // small budget: only a prefix of spans fits
+  TraceSink sink(opts);
+  sink.publish(t);
 
-TEST(Trace, DecodeRejectsTruncatedBytes) {
-  const Trace t = make_trace(2, "submit", 3);
-  const std::string bytes = encode_trace(t, 1, 1 << 16);
-  Trace back;
-  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-    EXPECT_FALSE(decode_trace(std::string_view(bytes).substr(0, cut), back,
-                              nullptr))
-        << "prefix of " << cut << " bytes decoded";
+  const std::vector<Trace> recent = sink.recent();
+  const auto tables = sink.slowest();
+  ASSERT_EQ(recent.size(), 1u);
+  ASSERT_EQ(tables.size(), 1u);
+  ASSERT_EQ(tables[0].second.size(), 1u);
+  for (const Trace& back : {recent[0], tables[0].second[0]}) {
+    EXPECT_EQ(back.id, t.id);
+    EXPECT_EQ(back.endpoint, t.endpoint);
+    EXPECT_EQ(back.duration_ns, t.duration_ns);
+    // 42 fixed + 6 endpoint bytes, then 24 fixed + "sN" + "i=N" per span:
+    // seven spans fill 251 of the 256 bytes, an eighth would not fit.
+    EXPECT_EQ(back.spans.size(), 7u);
+    EXPECT_EQ(back.dropped_spans,
+              static_cast<std::uint32_t>(t.spans.size() - back.spans.size()));
+    // The survivors are the earliest spans, intact.
+    for (std::size_t i = 0; i < back.spans.size(); ++i) {
+      EXPECT_EQ(back.spans[i].id, t.spans[i].id);
+      EXPECT_EQ(back.spans[i].parent, t.spans[i].parent);
+      EXPECT_EQ(back.spans[i].name, t.spans[i].name);
+      EXPECT_EQ(back.spans[i].start_ns, t.spans[i].start_ns);
+      EXPECT_EQ(back.spans[i].end_ns, t.spans[i].end_ns);
+      EXPECT_EQ(back.spans[i].notes, t.spans[i].notes);
+    }
   }
-  EXPECT_TRUE(decode_trace(bytes, back, nullptr));
 }
 
 TEST(Trace, RingRetainsLastNNewestFirst) {
@@ -245,7 +229,7 @@ TEST(Trace, KillSwitchFlipsAndRestores) {
   set_enabled(was);
 }
 
-// ---- the seqlock contention suite (runs under TSan in CI) ----------------
+// ---- the sink contention suite (runs under TSan in CI) -------------------
 
 TEST(TraceConcurrency, ConcurrentPublishersAndReaderSeeNoTornTraces) {
   SinkOptions opts;
@@ -259,9 +243,8 @@ TEST(TraceConcurrency, ConcurrentPublishersAndReaderSeeNoTornTraces) {
   std::atomic<std::uint64_t> reads{0};
 
   // The reader hammers recent()/slowest() while writers publish. Every
-  // decoded trace must be internally consistent — decode_trace already
-  // rejects torn bytes, so consistency here means: the id round-trips
-  // into the span payload we encoded for it.
+  // returned trace must be internally consistent: its id matches the
+  // span payload its writer built for it.
   std::thread reader([&] {
     while (!stop.load(std::memory_order_acquire)) {
       for (const Trace& t : sink.recent()) {
@@ -304,8 +287,8 @@ TEST(TraceConcurrency, ConcurrentPublishersAndReaderSeeNoTornTraces) {
   EXPECT_EQ(sink.published_total(), kWriters * kPerWriter);
   EXPECT_GT(reads.load(), 0u);
 
-  // Quiescent invariants. Retention: exactly recent_slots traces, all
-  // decodable, newest-first by publish stamp (strictly decreasing ids
+  // Quiescent invariants. Retention: exactly recent_slots traces,
+  // newest-first by publish order (strictly decreasing ids
   // are not guaranteed across writers, but distinctness is).
   const std::vector<Trace> rec = sink.recent();
   ASSERT_EQ(rec.size(), opts.recent_slots);
