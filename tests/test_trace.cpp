@@ -179,6 +179,65 @@ TEST(Trace, SlowestTableKeepsTheKSlowestPerEndpoint) {
   EXPECT_EQ(slow[2].id, 60u);
 }
 
+TEST(Trace, SlowestTableBreaksTiesByIdAndKeepsIncumbentsOnEqualDuration) {
+  SinkOptions opts;
+  opts.slowest_per_endpoint = 3;
+  TraceSink sink(opts);
+  const auto publish = [&](std::uint64_t id, std::uint64_t ms) {
+    Trace t = make_trace(id, "submit", 1);
+    t.duration_ns = ms * 1'000'000;
+    sink.publish(t);
+  };
+  const auto ids = [&] {
+    const auto tables = sink.slowest();
+    std::vector<std::uint64_t> out;
+    for (const Trace& t : tables.at(0).second) out.push_back(t.id);
+    return out;
+  };
+  publish(5, 10);
+  publish(3, 10);
+  publish(4, 10);
+  EXPECT_EQ(ids(), (std::vector<std::uint64_t>{3, 4, 5}));
+  // A full table admits only a strictly slower trace: an equal one, even
+  // with a smaller id, leaves the incumbents in place.
+  publish(1, 10);
+  EXPECT_EQ(ids(), (std::vector<std::uint64_t>{3, 4, 5}));
+  // A slower one evicts the last entry in tie order.
+  publish(9, 20);
+  EXPECT_EQ(ids(), (std::vector<std::uint64_t>{9, 3, 4}));
+}
+
+TEST(Trace, SinkClampsOptionsAndAddsCutSpansToCollectorDrops) {
+  SinkOptions opts;
+  opts.recent_slots = 0;
+  opts.slot_bytes = 1;
+  TraceSink sink(opts);
+  EXPECT_EQ(sink.options().recent_slots, 1u);
+  EXPECT_EQ(sink.options().slot_bytes, 256u);
+
+  // A trace that fits the budget is kept whole; spans its collector
+  // already dropped stay counted.
+  Trace small = make_trace(1, "submit", 3);
+  small.dropped_spans = 2;
+  sink.publish(small);
+  std::vector<Trace> got = sink.recent();
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].spans.size(), 3u);
+  EXPECT_EQ(got[0].dropped_spans, 2u);
+
+  // A trace over the budget adds the spans cut off to that count, and a
+  // one-slot ring holds only the newest trace.
+  Trace big = make_trace(2, "submit", 64);
+  big.dropped_spans = 2;
+  sink.publish(big);
+  got = sink.recent();
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].id, 2u);
+  EXPECT_EQ(got[0].spans.size(), 7u);
+  EXPECT_EQ(got[0].dropped_spans, 2u + 57u);
+  EXPECT_EQ(sink.published_total(), 2u);
+}
+
 TEST(Trace, RenderTraceTreeShowsHierarchyAndNotes) {
   Collector c(42, "submit");
   const std::uint32_t exec = c.begin("lane-execute");
