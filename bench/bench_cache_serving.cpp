@@ -210,7 +210,6 @@ void budgeted_warm() {
     const auto gc = manager.gc(budget);
     DISTAPX_ENSURE(gc.live_bytes <= budget);
 
-    cache.reset_stats();
     const auto warm = serve(jobs, threads, &cache);
     DISTAPX_ENSURE(warm.cache_hits == gc.live_entries);
     DISTAPX_ENSURE(warm.cache_hits + warm.computed == total_runs);

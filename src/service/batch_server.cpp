@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <exception>
-#include <mutex>
 #include <optional>
-#include <thread>
 #include <utility>
 
 #include "graph/algos.hpp"
@@ -232,7 +229,6 @@ BatchResult BatchServer::serve() {
     }
   }
 
-  const unsigned workers = sim::resolve_threads(opts_.threads, units.size());
   const auto start = std::chrono::steady_clock::now();
 
   // Metrics land in the caller's registry when one is wired (the serving
@@ -252,10 +248,7 @@ BatchResult BatchServer::serve() {
         metrics::default_latency_buckets_ms());
   }
 
-  std::atomic<std::size_t> next{0};
   std::atomic<std::uint64_t> cache_hits{0};
-  std::mutex error_mu;
-  std::exception_ptr error;
   auto timed_dispatch = [&](const ResolvedJob& job, NetworkLease& lease,
                             std::uint64_t seed, std::uint32_t job_index) {
     const auto t0 = std::chrono::steady_clock::now();
@@ -267,78 +260,59 @@ BatchResult BatchServer::serve() {
     runs_computed.inc();
     return row;
   };
-  auto drain = [&] {
-    NetworkLease lease;  // one reusable Network per worker
-    // Worker threads are fresh — the submitting thread's context does not
-    // propagate — so the job's collector is installed explicitly here.
-    const trace::ContextGuard trace_guard(
-        trace::Context{opts_.trace, opts_.trace_parent});
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= units.size()) return;
-      const Unit u = units[i];
-      const ResolvedJob& job = jobs_[u.job];
-      try {
-        const std::uint64_t seed = job.spec.seed_at(u.run);
-        runs_total.inc();
-        if (opts_.cache != nullptr) {
-          const Fingerprint key =
-              run_fingerprint(job.cache_key_prefix, seed);
-          bool hit = false;
-          {
-            trace::ScopedSpan span("cache-lookup");
-            span.annotate("seed", seed);
-            if (auto cached = opts_.cache->lookup(key)) {
-              rows[u.job][u.run] = *cached;
-              hit = true;
-            }
-          }
-          if (hit) {
-            cache_hits.fetch_add(1, std::memory_order_relaxed);
-            continue;
-          }
-          {
-            trace::ScopedSpan span("compute");
-            span.annotate("algo", job.spec.algorithm);
-            span.annotate("seed", seed);
-            rows[u.job][u.run] = timed_dispatch(job, lease, seed, u.job);
-          }
-          try {
-            trace::ScopedSpan span("cache-store");
-            span.annotate("seed", seed);
-            opts_.cache->store(key, rows[u.job][u.run]);
-          } catch (const JobError&) {
-            // A fill failure (disk full, unwritable cache dir) degrades
-            // this unit to uncached serving; the computed row is already
-            // in hand and must not be discarded, let alone fail the
-            // batch. The next lookup of this key simply misses again.
-          }
-        } else {
-          trace::ScopedSpan span("compute");
-          span.annotate("algo", job.spec.algorithm);
-          span.annotate("seed", seed);
-          rows[u.job][u.run] = timed_dispatch(job, lease, seed, u.job);
-        }
-      } catch (...) {
-        {
-          const std::lock_guard<std::mutex> lock(error_mu);
-          if (!error) error = std::current_exception();
-        }
-        next.store(units.size());  // cancel the remaining queue
+  // Per worker: one reusable Network, and the job's trace collector —
+  // worker threads are fresh, so the submitting thread's context does not
+  // propagate and is installed explicitly.
+  struct Worker {
+    NetworkLease lease;
+    trace::ContextGuard trace_guard;
+  };
+  const auto make_worker = [&] {
+    return Worker{{}, trace::ContextGuard(trace::Context{
+                          opts_.trace, opts_.trace_parent})};
+  };
+  const auto serve_unit = [&](Worker& worker, std::size_t i) {
+    const Unit u = units[i];
+    const ResolvedJob& job = jobs_[u.job];
+    RunRow& row = rows[u.job][u.run];
+    const std::uint64_t seed = job.spec.seed_at(u.run);
+    runs_total.inc();
+    if (opts_.cache == nullptr) {
+      trace::ScopedSpan span("compute");
+      span.annotate("algo", job.spec.algorithm);
+      span.annotate("seed", seed);
+      row = timed_dispatch(job, worker.lease, seed, u.job);
+      return;
+    }
+    const Fingerprint key = run_fingerprint(job.cache_key_prefix, seed);
+    {
+      trace::ScopedSpan span("cache-lookup");
+      span.annotate("seed", seed);
+      if (auto cached = opts_.cache->lookup(key)) {
+        row = *cached;
+        cache_hits.fetch_add(1, std::memory_order_relaxed);
         return;
       }
     }
+    {
+      trace::ScopedSpan span("compute");
+      span.annotate("algo", job.spec.algorithm);
+      span.annotate("seed", seed);
+      row = timed_dispatch(job, worker.lease, seed, u.job);
+    }
+    try {
+      trace::ScopedSpan span("cache-store");
+      span.annotate("seed", seed);
+      opts_.cache->store(key, row);
+    } catch (const JobError&) {
+      // A fill failure (disk full, unwritable cache dir) degrades this
+      // unit to uncached serving; the computed row is already in hand and
+      // must not be discarded, let alone fail the batch. The next lookup
+      // of this key simply misses again.
+    }
   };
-
-  if (workers <= 1) {
-    drain();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned t = 0; t < workers; ++t) pool.emplace_back(drain);
-    for (auto& th : pool) th.join();
-  }
-  if (error) std::rethrow_exception(error);
+  const unsigned workers =
+      sim::run_units(units.size(), opts_.threads, make_worker, serve_unit);
 
   BatchResult result;
   result.cache_hits = cache_hits.load(std::memory_order_relaxed);

@@ -305,37 +305,22 @@ std::vector<CacheEntryInfo> CacheManager::entries_lru() const {
   return out;
 }
 
-CacheDirStats CacheManager::stats() const {
-  CacheDirStats s;
+void CacheManager::stats() const {
+  std::uint64_t manifest_bytes = 0;
   {
-    const std::lock_guard<std::mutex> lock(mu_);
-    s.entries = entries_.size();
-    s.bytes = live_bytes_;
     // Under mu_ so a concurrent clear() cannot re-seat changelog_ between
     // the null-check the optional implies and the call.
-    s.manifest_bytes = changelog_->payload_bytes();
+    const std::lock_guard<std::mutex> lock(mu_);
+    manifest_bytes = changelog_->payload_bytes();
   }
+  std::uint64_t quarantined = 0;
   std::error_code ec;
   for (fs::directory_iterator it(quarantine_dir(), ec), end; !ec && it != end;
        it.increment(ec)) {
-    if (it->is_regular_file(ec)) ++s.quarantined;
+    if (it->is_regular_file(ec)) ++quarantined;
   }
-  // The walk-derived series are only as fresh as the last stats() call;
-  // entries/bytes stay live via publish_gauges_locked.
-  manifest_bytes_gauge_.set(static_cast<std::int64_t>(s.manifest_bytes));
-  quarantined_gauge_.set(static_cast<std::int64_t>(s.quarantined));
-  return s;
-}
-
-CacheDirStats cache_dir_stats_from(const metrics::Snapshot& snap) {
-  CacheDirStats s;
-  s.entries = static_cast<std::uint64_t>(snap.gauge_or("cache_entries"));
-  s.bytes = static_cast<std::uint64_t>(snap.gauge_or("cache_bytes"));
-  s.manifest_bytes =
-      static_cast<std::uint64_t>(snap.gauge_or("cache_manifest_bytes"));
-  s.quarantined =
-      static_cast<std::uint64_t>(snap.gauge_or("cache_quarantined"));
-  return s;
+  manifest_bytes_gauge_.set(static_cast<std::int64_t>(manifest_bytes));
+  quarantined_gauge_.set(static_cast<std::int64_t>(quarantined));
 }
 
 GcReport CacheManager::gc(std::uint64_t budget_bytes) {

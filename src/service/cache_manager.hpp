@@ -71,22 +71,6 @@ struct CacheEntryInfo {
   std::uint64_t last_access = 0;
 };
 
-/// Directory-level accounting for `cache stats`.
-struct CacheDirStats {
-  std::uint64_t entries = 0;
-  std::uint64_t bytes = 0;          ///< sum of live entry sizes
-  /// Journal record bytes on disk (snapshot + tail payloads; file-format
-  /// framing excluded, so a cleared cache reports 0).
-  std::uint64_t manifest_bytes = 0;
-  std::uint64_t quarantined = 0;    ///< files under <dir>/quarantine/
-};
-
-/// The CacheDirStats a registry snapshot implies (gauges cache_entries,
-/// cache_bytes, cache_manifest_bytes, cache_quarantined). stats() refreshes
-/// the disk-derived gauges before they are read, so `cache stats` renders
-/// from the same snapshot as every other surface.
-CacheDirStats cache_dir_stats_from(const metrics::Snapshot& snap);
-
 /// Outcome of one gc() pass.
 struct GcReport {
   std::uint64_t evicted_entries = 0;
@@ -175,9 +159,12 @@ class CacheManager {
   /// key hex, so the order is deterministic).
   [[nodiscard]] std::vector<CacheEntryInfo> entries_lru() const;
 
-  /// Also publishes the manifest/quarantine gauges (the walk happens here
-  /// anyway), so a snapshot taken right after carries all four series.
-  [[nodiscard]] CacheDirStats stats() const;
+  /// Refreshes the walk-derived gauges (cache_manifest_bytes: journal
+  /// record bytes on disk, framing excluded; cache_quarantined: files
+  /// under <dir>/quarantine/), so a registry snapshot taken right after
+  /// carries all four `cache stats` series with cache_entries and
+  /// cache_bytes, which stay live on their own.
+  void stats() const;
 
   /// The registry this manager instruments (configured or private).
   [[nodiscard]] metrics::Registry& registry() noexcept { return *reg_; }

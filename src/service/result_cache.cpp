@@ -1,7 +1,5 @@
 #include "service/result_cache.hpp"
 
-#include <unistd.h>
-
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -216,15 +214,6 @@ Fingerprint run_fingerprint(Fingerprinter job_prefix, std::uint64_t seed) {
   return job_prefix.digest();
 }
 
-CacheStats cache_stats_from(const metrics::Snapshot& snap) {
-  CacheStats s;
-  s.hits = snap.counter_or("cache_hits_total");
-  s.misses = snap.counter_or("cache_misses_total");
-  s.stores = snap.counter_or("cache_stores_total");
-  s.rejected = snap.counter_or("cache_rejected_total");
-  return s;
-}
-
 ResultCache::ResultCache(std::string dir, std::uint64_t budget_bytes,
                          metrics::Registry* registry)
     : dir_(std::move(dir)),
@@ -293,39 +282,21 @@ void ResultCache::store(const Fingerprint& key, const RunRow& row) {
   const std::string path = entry_path(key);
   std::error_code ec;
   fs::create_directories(fs::path(path).parent_path(), ec);
-  // Unique temp name per (process, store): concurrent fills never write
-  // the same temp file, and rename() makes publication atomic.
-  const std::string tmp =
-      path + ".tmp." + std::to_string(::getpid()) + "." +
-      std::to_string(temp_counter_.fetch_add(1, std::memory_order_relaxed));
+  // Durable publish (fsutil.hpp): a unique temp per call, so concurrent
+  // fills of one key are safe, and the data is synced before the rename
+  // — an unsynced rename can surface a torn entry under a valid name
+  // after a power loss (check_entry_file would reject it, but the
+  // recompute it forces is what the cache exists to avoid). No syncs
+  // under --durability none.
   const auto buf = encode(key, row);
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    os.write(reinterpret_cast<const char*>(buf.data()),
-             static_cast<std::streamsize>(buf.size()));
-    if (!os) {
-      os.close();
-      fs::remove(tmp, ec);
-      throw JobError("cannot write cache entry " + tmp);
-    }
+  std::string err;
+  if (!fsutil::write_file_durable(
+          path,
+          std::string_view(reinterpret_cast<const char*>(buf.data()),
+                           buf.size()),
+          &err)) {
+    throw JobError("cannot publish cache entry: " + err);
   }
-  // Entry data must be on stable storage before the rename publishes the
-  // name: a power loss after an unsynced rename can surface an empty or
-  // torn entry under a valid name (check_entry_file would reject it, but
-  // the recompute it forces is exactly what the cache exists to avoid).
-  // No-op under --durability none.
-  if (!fsutil::sync_file(tmp)) {
-    fs::remove(tmp, ec);
-    throw JobError("cannot sync cache entry " + tmp);
-  }
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    fs::remove(tmp, ec);
-    throw JobError("cannot publish cache entry " + path + ": " +
-                   ec.message());
-  }
-  // And the rename itself (the directory entry) must survive too.
-  fsutil::sync_dir(fs::path(path).parent_path());
   stores_.inc();
   if (manager_) {
     manager_->record_put(key, buf.size());
@@ -351,23 +322,12 @@ void ResultCache::enforce_budget() {
 }
 
 CacheStats ResultCache::stats() const noexcept {
-  // Registry counters are monotone (and possibly shared with other
-  // components in the same process), so "since reset_stats()" is the
-  // counter minus the baseline captured at the last reset.
   CacheStats s;
-  s.hits = hits_.value() - base_hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.value() - base_misses_.load(std::memory_order_relaxed);
-  s.stores = stores_.value() - base_stores_.load(std::memory_order_relaxed);
-  s.rejected =
-      rejected_.value() - base_rejected_.load(std::memory_order_relaxed);
+  s.hits = hits_.value();
+  s.misses = misses_.value();
+  s.stores = stores_.value();
+  s.rejected = rejected_.value();
   return s;
-}
-
-void ResultCache::reset_stats() noexcept {
-  base_hits_.store(hits_.value(), std::memory_order_relaxed);
-  base_misses_.store(misses_.value(), std::memory_order_relaxed);
-  base_stores_.store(stores_.value(), std::memory_order_relaxed);
-  base_rejected_.store(rejected_.value(), std::memory_order_relaxed);
 }
 
 }  // namespace distapx::service

@@ -15,20 +15,20 @@
 // semantics change so stale caches turn into misses, never wrong answers.
 //
 // On-disk layout: <dir>/<hh>/<hex28>.rr, two-level fan-out on the first
-// two hex digits. Entries are written to a unique temp file and renamed
-// into place, so readers never observe a partial entry and concurrent
-// fills of the same key are safe (last rename wins; the content is
-// identical by construction). Every entry carries magic, format + engine
-// versions, the full key, and a trailing checksum; lookup() treats any
-// mismatch — corruption, truncation, foreign file, stale version — as a
-// miss, so the worst failure mode is recomputation.
+// two hex digits. Entries publish through fsutil::write_file_durable (a
+// unique temp file renamed into place), so readers never observe a
+// partial entry and concurrent fills of the same key are safe (last
+// rename wins; the content is identical by construction). Every entry
+// carries magic, format + engine versions, the full key, and a trailing
+// checksum; lookup() treats any mismatch — corruption, truncation,
+// foreign file, stale version — as a miss, so the worst failure mode is
+// recomputation.
 //
 // Lifecycle (size budgets, LRU eviction, verify/repair) lives in
 // service/cache_manager.hpp; opening a ResultCache with a nonzero budget
 // attaches a CacheManager and keeps the directory bounded.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -62,23 +62,18 @@ Fingerprint run_fingerprint(const JobSpec& spec, std::uint64_t seed);
 /// absorbing one seed word instead of re-canonicalizing the spec).
 Fingerprint run_fingerprint(Fingerprinter job_prefix, std::uint64_t seed);
 
-/// Counters since construction / reset_stats(). `rejected` counts entries
-/// that existed but failed validation (corrupt, truncated, version
-/// mismatch) and were treated as misses. A typed view over the metrics
-/// registry's cache_* counters (see cache_stats_from) — the registry is
-/// the single source of truth; this struct exists so call sites keep a
-/// plain-integer API.
+/// The cache's registry counters (cache_hits_total and friends), read as
+/// plain integers. `rejected` counts entries that existed but failed
+/// validation (corrupt, truncated, version mismatch) and were treated as
+/// misses. The counters are monotone and may be shared with other
+/// components of the process; callers that want "since X" take the
+/// difference of two reads.
 struct CacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t stores = 0;
   std::uint64_t rejected = 0;
 };
-
-/// The CacheStats a registry snapshot implies (cache_hits_total and
-/// friends). The STATS frame, `cache stats`, and /metrics all derive
-/// from the same counters, so the surfaces cannot disagree.
-CacheStats cache_stats_from(const metrics::Snapshot& snap);
 
 // ---- entry-file machinery (shared with the cache manager) ----------------
 
@@ -156,12 +151,12 @@ class ResultCache {
   /// processes.
   std::optional<RunRow> lookup(const Fingerprint& key);
 
-  /// Persists a row under `key` (atomic write-then-rename). Concurrent
-  /// stores of the same key are safe.
+  /// Persists a row under `key` (fsutil::write_file_durable). Concurrent
+  /// stores of the same key are safe. Throws JobError when the publish
+  /// fails, including a failed directory sync after the entry landed.
   void store(const Fingerprint& key, const RunRow& row);
 
   [[nodiscard]] CacheStats stats() const noexcept;
-  void reset_stats() noexcept;
 
   /// The entry path a key maps to (exposed for tests that corrupt it).
   [[nodiscard]] std::string entry_path(const Fingerprint& key) const;
@@ -182,14 +177,7 @@ class ResultCache {
   metrics::Counter& misses_;
   metrics::Counter& stores_;
   metrics::Counter& rejected_;
-  /// Registry counters are monotone and possibly shared; reset_stats()
-  /// (tests, bench warm-up) subtracts these baselines instead.
-  std::atomic<std::uint64_t> base_hits_{0};
-  std::atomic<std::uint64_t> base_misses_{0};
-  std::atomic<std::uint64_t> base_stores_{0};
-  std::atomic<std::uint64_t> base_rejected_{0};
   std::unique_ptr<CacheManager> manager_;  ///< engaged iff budgeted
-  std::atomic<std::uint64_t> temp_counter_{0};
 };
 
 }  // namespace distapx::service

@@ -166,20 +166,31 @@ unsigned effective_lanes(unsigned requested) {
 
 }  // namespace
 
-SocketServerStats socket_stats_from(const metrics::Snapshot& snap) {
-  SocketServerStats s;
-  s.connections_accepted = snap.counter_or("connections_accepted_total");
-  s.submits_accepted = snap.counter_or("submits_accepted_total");
-  s.results_ok = snap.counter_or("results_ok_total");
-  s.results_error = snap.counter_or("results_error_total");
-  s.protocol_errors = snap.counter_or("protocol_errors_total");
-  s.timeouts = snap.counter_or("timeouts_total");
-  s.pings = snap.counter_or("pings_total");
-  s.cache_hits = snap.counter_or("cache_hits_total");
-  s.computed = snap.counter_or("runs_computed_total");
-  s.jobs_dropped = snap.counter_or("jobs_dropped_total");
-  s.lanes = static_cast<unsigned>(snap.gauge_or("lanes"));
-  return s;
+std::string SocketServer::stats_text() const {
+  // cache_hits and computed are the shared ResultCache / BatchServer
+  // counters; the serving tier keeps no copies of them.
+  const metrics::Snapshot snap = reg_->snapshot();
+  std::ostringstream os;
+  os << "endpoint " << ep_.to_string() << "\n"
+     << "draining " << snap.gauge_or("draining") << "\n"
+     << "lanes " << snap.gauge_or("lanes") << "\n"
+     << "connections_open " << snap.gauge_or("connections_open") << "\n"
+     << "connections_accepted "
+     << snap.counter_or("connections_accepted_total") << "\n"
+     << "submits_accepted " << snap.counter_or("submits_accepted_total")
+     << "\n"
+     << "results_ok " << snap.counter_or("results_ok_total") << "\n"
+     << "results_error " << snap.counter_or("results_error_total") << "\n"
+     << "protocol_errors " << snap.counter_or("protocol_errors_total")
+     << "\n"
+     << "timeouts " << snap.counter_or("timeouts_total") << "\n"
+     << "pings " << snap.counter_or("pings_total") << "\n"
+     << "cache_hits " << snap.counter_or("cache_hits_total") << "\n"
+     << "computed " << snap.counter_or("runs_computed_total") << "\n"
+     << "jobs_dropped " << snap.counter_or("jobs_dropped_total") << "\n"
+     << "queue_depth " << snap.gauge_or("queue_depth") << "\n"
+     << "executing " << snap.gauge_or("executing") << "\n";
+  return os.str();
 }
 
 SocketServer::SocketServer(SocketServerOptions opts)
@@ -238,7 +249,7 @@ SocketServer::SocketServer(SocketServerOptions opts)
   ep_ = listener_->endpoint();
 }
 
-SocketServerStats SocketServer::run() {
+void SocketServer::run() {
   const unsigned lane_count = effective_lanes(opts_.lanes);
   Meters counters(*reg_);
   counters.lanes.set(lane_count);
@@ -480,31 +491,6 @@ SocketServerStats SocketServer::run() {
     for (auto& [id, conn] : conns) {
       if (conn.inflight == 0) begin_close(conn);
     }
-  };
-
-  // One snapshot renders the whole STATS frame — the exact same registry
-  // state GET /metrics exposes, so the two surfaces cannot disagree.
-  const auto stats_text = [&] {
-    const metrics::Snapshot snap = reg_->snapshot();
-    const SocketServerStats s = socket_stats_from(snap);
-    std::ostringstream os;
-    os << "endpoint " << ep_.to_string() << "\n"
-       << "draining " << snap.gauge_or("draining") << "\n"
-       << "lanes " << s.lanes << "\n"
-       << "connections_open " << snap.gauge_or("connections_open") << "\n"
-       << "connections_accepted " << s.connections_accepted << "\n"
-       << "submits_accepted " << s.submits_accepted << "\n"
-       << "results_ok " << s.results_ok << "\n"
-       << "results_error " << s.results_error << "\n"
-       << "protocol_errors " << s.protocol_errors << "\n"
-       << "timeouts " << s.timeouts << "\n"
-       << "pings " << s.pings << "\n"
-       << "cache_hits " << s.cache_hits << "\n"
-       << "computed " << s.computed << "\n"
-       << "jobs_dropped " << s.jobs_dropped << "\n"
-       << "queue_depth " << snap.gauge_or("queue_depth") << "\n"
-       << "executing " << snap.gauge_or("executing") << "\n";
-    return os.str();
   };
 
   const auto protocol_error = [&](Conn& conn, const std::string& what) {
@@ -945,7 +931,6 @@ SocketServerStats SocketServer::run() {
   deliver_completions();  // completions raced with the drain; drop-count them
   counters.ready.set(0);
   logx::info("server_stopped", {});
-  return socket_stats_from(reg_->snapshot());
 }
 
 }  // namespace distapx::service

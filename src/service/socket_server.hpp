@@ -130,35 +130,6 @@ struct SocketServerOptions {
   std::uint32_t slow_ms = 0;
 };
 
-/// Counters over one run(). Everything here is operational telemetry —
-/// the determinism contract covers RESULT payload bytes only. This is a
-/// *typed view* over the metrics registry (socket_stats_from): the server
-/// keeps no shadow counters — the registry's relaxed-atomic series are
-/// the single source of truth, and the STATS frame, the run() return
-/// value, and GET /metrics all render from the same snapshot, so the
-/// surfaces cannot disagree.
-struct SocketServerStats {
-  std::uint64_t connections_accepted = 0;
-  std::uint64_t submits_accepted = 0;
-  std::uint64_t results_ok = 0;  ///< completed jobs, delivered or not
-  std::uint64_t results_error = 0;  ///< ERR replies to well-framed SUBMITs
-  std::uint64_t protocol_errors = 0;  ///< bad frames + mid-frame hangups
-  std::uint64_t timeouts = 0;         ///< idle_timeout_ms reaps
-  std::uint64_t pings = 0;
-  std::uint64_t cache_hits = 0;  ///< summed over served jobs
-  std::uint64_t computed = 0;
-  /// Jobs whose connection died first: queued jobs discarded unexecuted
-  /// plus finished jobs whose response had no live connection to go to.
-  std::uint64_t jobs_dropped = 0;
-  unsigned lanes = 0;  ///< effective executor lane count
-};
-
-/// The SocketServerStats a registry snapshot implies. cache_hits and
-/// computed come from the shared ResultCache / BatchServer counters
-/// (cache_hits_total, runs_computed_total) — the serving tier no longer
-/// keeps its own copies of those numbers.
-SocketServerStats socket_stats_from(const metrics::Snapshot& snap);
-
 class SocketServer {
  public:
   /// Opens the listener (and the cache, when configured) immediately, so
@@ -166,9 +137,16 @@ class SocketServer {
   /// net::NetError / JobError.
   explicit SocketServer(SocketServerOptions opts);
 
-  /// Serves until a stop condition, then drains and returns the final
-  /// counters. Call at most once.
-  SocketServerStats run();
+  /// Serves until a stop condition, then drains and returns. Call at most
+  /// once.
+  void run();
+
+  /// The STATS frame body: `key value` lines rendered from one registry
+  /// snapshot — the state GET /metrics exposes, so the surfaces cannot
+  /// disagree. The CLI prints the same text when run() returns. Safe from
+  /// any thread. Operational telemetry only: the determinism contract
+  /// covers RESULT payload bytes.
+  [[nodiscard]] std::string stats_text() const;
 
   /// Safe from other threads and from signal handlers.
   void request_stop() noexcept {

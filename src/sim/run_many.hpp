@@ -47,6 +47,52 @@ std::vector<RunResult> run_many(const Graph& g, const ProgramFactory& factory,
                                 std::span<const std::uint64_t> seeds,
                                 const RunManyOptions& opts = {});
 
+/// The one seed-parallel drain loop (run_many, run_many_tasks and
+/// service::BatchServer::serve all schedule through it): calls
+/// body(state, i) once for every unit i in [0, units) on
+/// resolve_threads(threads, units) workers pulling indices from one
+/// shared counter. Each worker first builds its own state with
+/// make_state() — a reusable Network, a trace context guard — and keeps
+/// it for every unit it picks up. The first exception a body throws
+/// cancels the units not yet started and is rethrown once every worker
+/// has stopped. One worker runs inline on the calling thread. Returns the
+/// number of workers used.
+template <typename MakeState, typename Body>
+unsigned run_units(std::size_t units, unsigned threads,
+                   MakeState&& make_state, Body&& body) {
+  const unsigned workers = resolve_threads(threads, units);
+  std::atomic<std::size_t> next{0};
+  std::mutex error_mu;
+  std::exception_ptr error;
+  auto drain = [&] {
+    auto state = make_state();
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= units) return;
+      try {
+        body(state, i);
+      } catch (...) {
+        {
+          const std::lock_guard<std::mutex> lock(error_mu);
+          if (!error) error = std::current_exception();
+        }
+        next.store(units);  // cancel the remaining queue
+        return;
+      }
+    }
+  };
+  if (workers <= 1) {
+    drain();
+  } else {
+    std::vector<std::thread> pool;
+    pool.reserve(workers);
+    for (unsigned t = 0; t < workers; ++t) pool.emplace_back(drain);
+    for (auto& th : pool) th.join();
+  }
+  if (error) std::rethrow_exception(error);
+  return workers;
+}
+
 /// Generic deterministic seed-parallel scheduler: results[i] =
 /// task(seeds[i], i). `task` must be safe to call concurrently.
 template <typename Task>
@@ -59,37 +105,9 @@ auto run_many_tasks(std::span<const std::uint64_t> seeds, unsigned threads,
   static_assert(!std::is_same_v<Result, bool>,
                 "run_many_tasks cannot return bool (vector<bool> races)");
   std::vector<Result> results(seeds.size());
-  const unsigned workers = resolve_threads(threads, seeds.size());
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < seeds.size(); ++i) {
-      results[i] = task(seeds[i], i);
-    }
-    return results;
-  }
-  std::atomic<std::size_t> next{0};
-  std::mutex error_mu;
-  std::exception_ptr error;
-  auto drain = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= seeds.size()) return;
-      try {
-        results[i] = task(seeds[i], i);
-      } catch (...) {
-        {
-          const std::lock_guard<std::mutex> lock(error_mu);
-          if (!error) error = std::current_exception();
-        }
-        next.store(seeds.size());  // cancel the remaining queue
-        return;
-      }
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (unsigned t = 0; t < workers; ++t) pool.emplace_back(drain);
-  for (auto& th : pool) th.join();
-  if (error) std::rethrow_exception(error);
+  run_units(
+      seeds.size(), threads, [] { return 0; },
+      [&](int, std::size_t i) { results[i] = task(seeds[i], i); });
   return results;
 }
 

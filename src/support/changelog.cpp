@@ -7,15 +7,11 @@
 #include <cerrno>
 #include <charconv>
 #include <cstring>
-#include <filesystem>
-#include <system_error>
 
 #include "support/fingerprint.hpp"
 #include "support/fsutil.hpp"
 
 namespace distapx {
-
-namespace fs = std::filesystem;
 
 namespace {
 
@@ -63,19 +59,6 @@ void encode_frame(std::string& out, std::string_view payload) {
   put_u32(out, static_cast<std::uint32_t>(payload.size()));
   put_u64(out, fingerprint_bytes(payload.data(), payload.size()).lo);
   out.append(payload);
-}
-
-bool write_all(int fd, const char* data, std::size_t size) {
-  std::size_t off = 0;
-  while (off < size) {
-    const ssize_t n = ::write(fd, data + off, size - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
 }
 
 /// Reads the whole file behind `fd`. False only on a read error.
@@ -200,7 +183,7 @@ Changelog::Changelog(std::string base_path) : base_(std::move(base_path)) {
       throw ChangelogError("cannot initialize " + log);
     }
     const std::string header = header_bytes();
-    if (!write_all(log_fd_, header.data(), header.size())) {
+    if (!fsutil::write_all(log_fd_, header)) {
       ::close(log_fd_);
       log_fd_ = -1;
       throw ChangelogError("cannot initialize " + log);
@@ -238,7 +221,7 @@ bool Changelog::append_frames_locked(const std::string& frames,
                                      std::uint64_t records,
                                      std::uint64_t payload_size) {
   if (g_fail_writes.load(std::memory_order_relaxed) ||
-      !write_all(log_fd_, frames.data(), frames.size()) ||
+      !fsutil::write_all(log_fd_, frames) ||
       !fsutil::sync_fd(log_fd_)) {
     // A partial write leaves a torn frame; the next open truncates it.
     ++write_failures_;
@@ -278,37 +261,20 @@ bool Changelog::snapshot(const std::vector<std::string>& records) {
     ++write_failures_;
     return false;
   }
-  const std::string tmp =
-      base_ + ".snap.tmp." + std::to_string(::getpid());
   std::string image = header_bytes();
   std::uint64_t payload_size = 0;
   for (const std::string& r : records) {
     encode_frame(image, r);
     payload_size += r.size();
   }
-  const auto fail = [&] {
-    std::error_code ignore;
-    fs::remove(tmp, ignore);
+  // write_file_durable reports a failed directory sync too: the rename
+  // must survive power loss before the tail may be reset — otherwise a
+  // crash could surface the *old* snapshot with a *new* (already-emptied)
+  // tail and silently lose records.
+  if (!fsutil::write_file_durable(snapshot_path(), image)) {
     ++write_failures_;
     return false;
-  };
-  const int fd =
-      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) return fail();
-  if (!write_all(fd, image.data(), image.size()) || !fsutil::sync_fd(fd)) {
-    ::close(fd);
-    return fail();
   }
-  ::close(fd);
-  std::error_code ec;
-  fs::rename(tmp, snapshot_path(), ec);
-  if (ec) return fail();
-  // The rename itself must survive power loss before the tail may be
-  // reset — otherwise a crash could surface the *old* snapshot with a
-  // *new* (already-emptied) tail and silently lose records.
-  fs::path dir = fs::path(base_).parent_path();
-  if (dir.empty()) dir = ".";
-  if (!fsutil::sync_dir(dir)) return fail();
   // A crash exactly here leaves the old tail alongside the new snapshot:
   // replay duplicates those records, which consumers absorb idempotently.
   if (::ftruncate(log_fd_, static_cast<off_t>(kHeaderBytes)) != 0) {

@@ -30,14 +30,14 @@
 // interleaving with garbage. A file that exists but does not carry this
 // module's magic is *foreign* and open throws rather than clobbering it.
 //
-// snapshot(records) compacts: the records are written to a temp file,
-// fdatasync'd, renamed over P.snap, the directory is fsync'd (so the
-// rename itself survives power loss), and only then is the tail reset to
-// empty. A crash between the rename and the reset leaves records present
-// in both files; replay then delivers them twice, so consumers MUST apply
-// records idempotently (all current consumers do: cache-manifest F/T
-// records are upserts/touches, daemon P/D and socket S/R records are set
-// operations).
+// snapshot(records) compacts: the records publish over P.snap through
+// fsutil::write_file_durable (temp, fdatasync, rename, directory fsync,
+// so the rename itself survives power loss), and only then is the tail
+// reset to empty. A crash between the rename and the reset leaves
+// records present in both files; replay then delivers them twice, so
+// consumers MUST apply records idempotently (all current consumers do:
+// cache-manifest F/T records are upserts/touches, daemon P/D and socket
+// S/R records are set operations).
 //
 // fsync discipline follows the process-wide fsutil durability knob: at
 // kFull every append batch is fdatasync'd before append() returns (a
@@ -140,7 +140,7 @@ class Changelog {
 
   /// Atomically replaces the snapshot with exactly `records` and resets
   /// the tail (compaction). Durable against power loss once it returns
-  /// true (at kFull): temp + fdatasync + rename + directory fsync.
+  /// true (at kFull): fsutil::write_file_durable, then the tail reset.
   bool snapshot(const std::vector<std::string>& records);
 
   /// Records currently in the on-disk tail (replayed survivors + appends

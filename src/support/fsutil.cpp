@@ -18,6 +18,8 @@ namespace fs = std::filesystem;
 namespace {
 
 std::atomic<bool> g_force_copy{false};
+std::atomic<bool> g_fail_dir_sync{false};
+std::atomic<std::uint64_t> g_temp_seq{0};
 std::atomic<Durability> g_durability{Durability::kFull};
 std::atomic<std::uint64_t> g_fsync_total{0};
 std::atomic<metrics::Counter*> g_fsync_counter{nullptr};
@@ -38,6 +40,10 @@ void count_fsync() noexcept {
 
 void set_force_copy_move_for_testing(bool force) noexcept {
   g_force_copy.store(force, std::memory_order_relaxed);
+}
+
+void set_fail_dir_sync_for_testing(bool fail) noexcept {
+  g_fail_dir_sync.store(fail, std::memory_order_relaxed);
 }
 
 void set_durability(Durability level) noexcept {
@@ -72,16 +78,11 @@ bool sync_fd(int fd) noexcept {
   return rc == 0;
 }
 
-bool sync_file(const fs::path& path) noexcept {
-  if (durability() == Durability::kNone) return true;
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return false;
-  const bool ok = sync_fd(fd);
-  ::close(fd);
-  return ok;
-}
-
 bool sync_dir(const fs::path& dir) noexcept {
+  if (g_fail_dir_sync.load(std::memory_order_relaxed)) {
+    errno = EIO;
+    return false;
+  }
   if (durability() == Durability::kNone) return true;
   // O_DIRECTORY so a plain file at `dir` is an error, not a silent sync of
   // the wrong object. fsync (not fdatasync): directory metadata IS the
@@ -97,54 +98,58 @@ bool sync_dir(const fs::path& dir) noexcept {
   return rc == 0;
 }
 
+bool write_all(int fd, std::string_view data) noexcept {
+  while (!data.empty()) {
+    const ssize_t n = ::write(fd, data.data(), data.size());
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    data.remove_prefix(static_cast<std::size_t>(n));
+  }
+  return true;
+}
+
 bool write_file_durable(const fs::path& path, std::string_view content,
                         std::string* error) {
-  const auto fail = [&](const std::string& what) {
+  fs::path dir = path.parent_path();
+  if (dir.empty()) dir = ".";
+  // One temp name per call, not per process: threads publishing the same
+  // path concurrently must never open (and truncate) each other's temp.
+  const std::uint64_t seq = g_temp_seq.fetch_add(1, std::memory_order_relaxed);
+  const fs::path tmp = dir / (".pub-tmp." + std::to_string(::getpid()) + "." +
+                              std::to_string(seq) + "." +
+                              path.filename().string());
+  const auto fail = [&](const char* what, const std::string& why) {
+    std::error_code ignore;
+    fs::remove(tmp, ignore);
     if (error != nullptr) {
-      *error = what + " " + path.string() + ": " + std::strerror(errno);
+      *error = std::string(what) + " " + path.string() + ": " + why;
     }
     return false;
   };
-  fs::path dir = path.parent_path();
-  if (dir.empty()) dir = ".";
-  const fs::path tmp =
-      dir / (".pub-tmp." + std::to_string(::getpid()) + "." +
-             path.filename().string());
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
                         0644);
-  if (fd < 0) return fail("cannot create temp for");
-  std::size_t off = 0;
-  while (off < content.size()) {
-    const ssize_t n = ::write(fd, content.data() + off, content.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      std::error_code ignore;
-      fs::remove(tmp, ignore);
-      return fail("cannot write");
-    }
-    off += static_cast<std::size_t>(n);
-  }
+  if (fd < 0) return fail("cannot create temp for", std::strerror(errno));
   // Data blocks first, then the rename, then the directory entry: after
   // the final sync the new name durably refers to complete content.
-  if (!sync_fd(fd)) {
-    ::close(fd);
-    std::error_code ignore;
-    fs::remove(tmp, ignore);
-    return fail("cannot sync");
-  }
+  const bool written = write_all(fd, content);
+  const bool synced = written && sync_fd(fd);
+  const int err = errno;
   ::close(fd);
+  if (!synced) {
+    return fail(written ? "cannot sync" : "cannot write", std::strerror(err));
+  }
   std::error_code ec;
   fs::rename(tmp, path, ec);
-  if (ec) {
-    std::error_code ignore;
-    fs::remove(tmp, ignore);
-    if (error != nullptr) {
-      *error = "cannot publish " + path.string() + ": " + ec.message();
-    }
-    return false;
+  if (ec) return fail("cannot publish", ec.message());
+  // The new content is in place from here on. A failed directory sync
+  // still reports false: the rename is not known to survive power loss,
+  // and a caller that orders later steps after it (the changelog's tail
+  // reset) must not take them.
+  if (!sync_dir(dir)) {
+    return fail("cannot sync directory of", std::strerror(errno));
   }
-  if (!sync_dir(dir)) return fail("cannot sync directory of");
   return true;
 }
 

@@ -16,8 +16,9 @@
 // data blocks were never flushed, and the rename itself can be undone
 // because the directory entry was never flushed. The sync_* helpers below
 // close both holes: fdatasync the file before renaming it into place,
-// fsync the parent directory after. They honor a process-wide Durability
-// knob (the CLI's --durability flag): at kNone every sync is a no-op
+// fsync the parent directory after; write_file_durable is the one place
+// that sequence is written. The sync helpers honor a process-wide
+// Durability knob (the CLI's --durability flag): at kNone every sync is a no-op
 // (benchmarks, throwaway caches), at kFull (the default) each helper
 // issues the real syscall and bumps a process-wide fsync counter, which
 // is mirrored into a metrics Counter ("fsync_total") when a serving
@@ -81,22 +82,37 @@ void set_fsync_counter(metrics::Counter* counter) noexcept;
 /// Returns false only on a real fdatasync failure.
 bool sync_fd(int fd) noexcept;
 
-/// Opens `path` read-only and sync_fd's it (for files written through
-/// buffered streams that are already closed). False if the open or sync
-/// fails; no-op true at kNone.
-bool sync_file(const std::filesystem::path& path) noexcept;
-
 /// fsyncs the *directory* `dir`, making renames/creates inside it
 /// durable. No-op true at kNone; false on open/fsync failure.
 bool sync_dir(const std::filesystem::path& dir) noexcept;
 
-/// Durable publication: writes `content` to a hidden temp name in the
-/// destination directory, syncs it, renames into place, and syncs the
-/// parent directory — a crash at any instant leaves either the complete
-/// previous state or the complete new file, and once this returns true
-/// the file survives power loss (at kFull). Returns false with the
-/// reason in `*error` (when non-null) on any failure; the destination is
-/// never left partial and temp droppings are removed.
+/// Test seam: while set, sync_dir fails (errno EIO) at every durability
+/// level — a real directory fsync failure cannot be provoked on demand.
+/// Not for production use.
+void set_fail_dir_sync_for_testing(bool fail) noexcept;
+
+/// write(2)s all of `data` to `fd`, retrying short writes and EINTR.
+/// False on any other write error.
+bool write_all(int fd, std::string_view data) noexcept;
+
+/// Durable publication, the one temp + fdatasync + rename + directory
+/// fsync sequence in the codebase (cache entries, changelog snapshots,
+/// the daemon's done-files all publish through it). Writes `content` to
+/// a hidden temp in the destination directory, named
+/// ".pub-tmp.<pid>.<seq>.<filename>" with a process-wide sequence, so
+/// concurrent calls — any threads, any processes, the same destination
+/// included — never share a temp file; the last rename wins and every
+/// reader sees one writer's complete bytes. Two syncs per call at kFull
+/// (the data, then the directory), none at kNone.
+///
+/// Returns true once the file is in place and (at kFull) survives power
+/// loss. Returns false with the reason in `*error` (when non-null) on any
+/// failure. A failure before the rename leaves the destination untouched
+/// and removes the temp. A failed directory sync comes *after* the
+/// rename: the destination then already holds the complete new content,
+/// but the call still returns false, because the rename is not known to
+/// be durable — callers treat it as a failed publish (the changelog keeps
+/// its tail; a cache store reports the fill as failed).
 bool write_file_durable(const std::filesystem::path& path,
                         std::string_view content,
                         std::string* error = nullptr);

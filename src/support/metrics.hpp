@@ -6,10 +6,11 @@
 // counters, daemon report fields, cache hit atomics) and the numbers could
 // disagree between surfaces. Now the flow is: subsystems bump named
 // metrics in a Registry (lock-free atomics on the hot path; a mutex only
-// on first registration of a name), and every consumer — the STATS frame,
-// the CLI's final counter print, the HTTP /metrics endpoint, the typed
-// SocketServerStats/CacheStats views — reads one Snapshot, so the socket
-// API and the admin endpoint can never tell different stories.
+// on first registration of a name), and every consumer — the STATS frame
+// and the socket server's exit report (one renderer), `cache stats`, the
+// HTTP /metrics endpoint — reads a Snapshot directly, with no typed
+// mirror structs in between, so the socket API and the admin endpoint can
+// never tell different stories.
 //
 // Concurrency model: metric handles returned by counter()/gauge()/
 // histogram() are stable for the Registry's lifetime (node-based storage;

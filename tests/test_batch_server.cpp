@@ -314,6 +314,22 @@ TEST(BatchServer, ResolveRejectsBadSpecs) {
   EXPECT_THROW(service::resolve_job(missing_file), std::exception);
 }
 
+TEST(BatchServer, ServeRethrowsAPerUnitException) {
+  // Luby's priorities do not fit an enforced 1 x log n bit cap: every
+  // unit throws, and serve() must rethrow after the pool drains instead
+  // of returning rows — inline at 1 thread and from workers at 4.
+  service::JobSpec spec;
+  spec.gen_spec = "gnp:64:0.2";
+  spec.algorithm = "luby";
+  spec.num_seeds = 8;
+  spec.policy = sim::BandwidthPolicy::congest(1, /*enforce=*/true);
+  for (const unsigned threads : {1u, 4u}) {
+    service::BatchServer server({.threads = threads});
+    server.submit(spec);
+    EXPECT_THROW(server.serve(), EnsureError) << "threads=" << threads;
+  }
+}
+
 TEST(BatchServer, ReportsAreDeterministic) {
   // The emitted CSV/JSON are part of the determinism contract (wall time
   // deliberately lives outside the tables).

@@ -62,6 +62,13 @@ std::vector<Fingerprint> fill_entries(service::ResultCache& cache,
 
 const std::uint64_t kEntry = service::entry_file_size();
 
+/// What `cache stats` prints from: stats() refreshes the walk-derived
+/// gauges, then the registry snapshot carries all four series.
+metrics::Snapshot dir_stats(service::CacheManager& manager) {
+  manager.stats();
+  return manager.registry().snapshot();
+}
+
 // ---- key recovery from entry paths -----------------------------------------
 
 TEST(CacheManager, KeyFromEntryPathRoundTrips) {
@@ -75,6 +82,14 @@ TEST(CacheManager, KeyFromEntryPathRoundTrips) {
   EXPECT_FALSE(service::key_from_entry_path("ab/short.rr").has_value());
   EXPECT_FALSE(
       service::key_from_entry_path(path + ".tmp.123.0").has_value());
+  // A store's in-flight temp (fsutil::write_file_durable's naming) keeps
+  // the ".rr" suffix but never parses as an entry.
+  const fs::path entry(path);
+  EXPECT_FALSE(service::key_from_entry_path(
+                   (entry.parent_path() /
+                    (".pub-tmp.123.0." + entry.filename().string()))
+                       .string())
+                   .has_value());
   EXPECT_FALSE(service::key_from_entry_path(
                    dir.str() + "/xy/zz3aeceb185f56d0308288684966fc.rr")
                    .has_value());
@@ -90,10 +105,10 @@ TEST(CacheManager, ScanMatchesDirectoryContents) {
   service::CacheManager manager(dir.str());
   EXPECT_EQ(manager.live_entries(), 10u);
   EXPECT_EQ(manager.live_bytes(), 10 * kEntry);
-  const auto s = manager.stats();
-  EXPECT_EQ(s.entries, 10u);
-  EXPECT_EQ(s.bytes, 10 * kEntry);
-  EXPECT_EQ(s.quarantined, 0u);
+  const metrics::Snapshot s = dir_stats(manager);
+  EXPECT_EQ(s.gauge_or("cache_entries"), 10);
+  EXPECT_EQ(s.gauge_or("cache_bytes"), static_cast<std::int64_t>(10 * kEntry));
+  EXPECT_EQ(s.gauge_or("cache_quarantined"), 0);
 }
 
 TEST(CacheManager, RecordPutAndGetDriveLruOrder) {
@@ -367,7 +382,7 @@ TEST_F(ManagerVerify, QuarantineMovesInvalidEntriesAndHealsTheCache) {
 
   // Quarantined files moved out of the entry tree, nothing deleted.
   EXPECT_FALSE(fs::exists(path_of(0)));
-  EXPECT_EQ(manager.stats().quarantined, 6u);
+  EXPECT_EQ(dir_stats(manager).gauge_or("cache_quarantined"), 6);
   EXPECT_EQ(manager.live_entries(), 2u);
 
   // A second verify is clean, and the healthy entries still serve.
@@ -387,13 +402,15 @@ TEST_F(ManagerVerify, DeleteUnlinksInvalidEntries) {
   EXPECT_EQ(report.deleted, 6u);
   EXPECT_EQ(report.quarantined, 0u);
   EXPECT_EQ(manager.live_entries(), 2u);
-  EXPECT_EQ(manager.stats().quarantined, 0u);
+  EXPECT_EQ(dir_stats(manager).gauge_or("cache_quarantined"), 0);
   EXPECT_FALSE(fs::exists(path_of(0)));
 }
 
 TEST_F(ManagerVerify, StrayTempFilesAreForeignAndUntouched) {
-  const std::string stray =
-      path_of(0) + ".tmp.123.0";  // a crashed store()'s dropping
+  // A crashed store()'s dropping: write_file_durable's temp name.
+  const fs::path entry(path_of(0));
+  const fs::path stray =
+      entry.parent_path() / (".pub-tmp.123.0." + entry.filename().string());
   write_file(stray, {'j', 'u', 'n', 'k'});
   service::CacheManager manager(dir_.str());
   const auto report = manager.verify(service::RepairMode::kDelete);
@@ -417,11 +434,11 @@ TEST(CacheManager, ClearRemovesEntriesManifestAndQuarantine) {
 
   EXPECT_EQ(manager.clear(), 4u);
   EXPECT_EQ(manager.live_entries(), 0u);
-  const auto s = manager.stats();
-  EXPECT_EQ(s.entries, 0u);
-  EXPECT_EQ(s.bytes, 0u);
-  EXPECT_EQ(s.manifest_bytes, 0u);
-  EXPECT_EQ(s.quarantined, 0u);
+  const metrics::Snapshot s = dir_stats(manager);
+  EXPECT_EQ(s.gauge_or("cache_entries"), 0);
+  EXPECT_EQ(s.gauge_or("cache_bytes"), 0);
+  EXPECT_EQ(s.gauge_or("cache_manifest_bytes"), 0);
+  EXPECT_EQ(s.gauge_or("cache_quarantined"), 0);
   // The directory itself survives (it may be a mount point).
   EXPECT_TRUE(fs::is_directory(dir.path));
 }

@@ -117,6 +117,26 @@ TEST(Changelog, SnapshotCompactsAndResetsTail) {
             kHeaderBytes + kFrameBytes + std::string("new-after-snap").size());
 }
 
+TEST(Changelog, SnapshotWhoseDirectorySyncFailsKeepsTheTail) {
+  const ScopedTempDir dir("distapx-wal-dirsync");
+  const std::string base = base_in(dir);
+  {
+    Changelog log(base);
+    ASSERT_TRUE(log.append("old-1"));
+    ASSERT_TRUE(log.append("old-2"));
+    fsutil::set_fail_dir_sync_for_testing(true);
+    EXPECT_FALSE(log.snapshot({"merged"}));
+    fsutil::set_fail_dir_sync_for_testing(false);
+    EXPECT_EQ(log.write_failures(), 1u);
+    EXPECT_EQ(log.tail_records(), 2u);  // not reset: the rename may not last
+  }
+  // The new snapshot landed but the tail survived it: replay delivers the
+  // records twice, which consumers absorb idempotently — nothing is lost.
+  Changelog log(base);
+  EXPECT_EQ(log.replayed().snapshot, std::vector<std::string>{"merged"});
+  EXPECT_EQ(log.replayed().tail, (std::vector<std::string>{"old-1", "old-2"}));
+}
+
 TEST(Changelog, EmptySnapshotReportsZeroPayloadBytes) {
   const ScopedTempDir dir("distapx-wal-empty");
   const std::string base = base_in(dir);

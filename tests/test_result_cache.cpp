@@ -277,7 +277,14 @@ class CacheRejection : public ::testing::Test {
     cache_->store(key_, row_);
     path_ = cache_->entry_path(key_);
     ASSERT_TRUE(cache_->lookup(key_).has_value());
-    cache_->reset_stats();
+    base_ = cache_->stats();
+  }
+
+  /// The cache's counters since fill() returned.
+  [[nodiscard]] service::CacheStats since_fill() const {
+    const service::CacheStats now = cache_->stats();
+    return {now.hits - base_.hits, now.misses - base_.misses,
+            now.stores - base_.stores, now.rejected - base_.rejected};
   }
 
   std::vector<char> read_entry() {
@@ -295,9 +302,9 @@ class CacheRejection : public ::testing::Test {
   /// store must transparently repair it.
   void expect_rejected_then_recomputed() {
     EXPECT_FALSE(cache_->lookup(key_).has_value());
-    EXPECT_EQ(cache_->stats().rejected, 1u);
-    EXPECT_EQ(cache_->stats().misses, 1u);
-    EXPECT_EQ(cache_->stats().hits, 0u);
+    EXPECT_EQ(since_fill().rejected, 1u);
+    EXPECT_EQ(since_fill().misses, 1u);
+    EXPECT_EQ(since_fill().hits, 0u);
     cache_->store(key_, row_);  // "recompute" and refill
     const auto repaired = cache_->lookup(key_);
     ASSERT_TRUE(repaired.has_value());
@@ -309,6 +316,7 @@ class CacheRejection : public ::testing::Test {
   Fingerprint key_;
   service::RunRow row_;
   std::string path_;
+  service::CacheStats base_;
 };
 
 TEST_F(CacheRejection, FlippedPayloadByteFailsChecksum) {
@@ -375,8 +383,8 @@ TEST_F(CacheRejection, EveryTruncationBoundaryRejectedByteByByte) {
         << "prefix of " << len << " bytes";
     EXPECT_FALSE(cache_->lookup(key_).has_value()) << len << " bytes";
   }
-  EXPECT_EQ(cache_->stats().rejected, good.size());
-  EXPECT_EQ(cache_->stats().hits, 0u);
+  EXPECT_EQ(since_fill().rejected, good.size());
+  EXPECT_EQ(since_fill().hits, 0u);
 
   // One byte too long is equally rejected (a concatenated/garbage file).
   auto extended = good;
@@ -442,7 +450,7 @@ TEST_F(CacheRejection, EntryRenamedUnderWrongKeyRejected) {
   fs::create_directories(fs::path(other_path).parent_path());
   fs::copy_file(path_, other_path);
   EXPECT_FALSE(cache_->lookup(other).has_value());
-  EXPECT_EQ(cache_->stats().rejected, 1u);
+  EXPECT_EQ(since_fill().rejected, 1u);
   EXPECT_TRUE(cache_->lookup(key_).has_value());  // original still fine
 }
 

@@ -80,7 +80,7 @@ class ServerFixture {
     opts.idle_timeout_ms = 10'000;  // tests override for the loris cases
     if (tweak) tweak(opts);
     server_.emplace(std::move(opts));
-    thread_ = std::thread([this] { final_stats_ = server_->run(); });
+    thread_ = std::thread([this] { server_->run(); });
   }
 
   ~ServerFixture() {
@@ -95,11 +95,11 @@ class ServerFixture {
   }
   service::SocketServer& server() { return *server_; }
 
-  /// Stops the server and returns the final counters.
-  service::SocketServerStats finish() {
+  /// Stops the server and returns the final registry snapshot.
+  metrics::Snapshot finish() {
     server_->request_stop();
     thread_.join();
-    return final_stats_;
+    return server_->registry().snapshot();
   }
 
   /// True once run() returned on its own (drain via shutdown/max_requests).
@@ -126,7 +126,6 @@ class ServerFixture {
   ScopedTempDir dir_;
   std::optional<service::SocketServer> server_;
   std::thread thread_;
-  service::SocketServerStats final_stats_;
 };
 
 /// Reads one frame from a raw socket (for the malformed-client tests,
@@ -226,15 +225,16 @@ TEST(SocketServer, ConcurrentClientsSharingOneCacheGetIdenticalRows) {
   }
 
   const auto stats = fixture.finish();
-  EXPECT_EQ(stats.results_ok,
+  EXPECT_EQ(stats.counter_or("results_ok_total"),
             static_cast<std::uint64_t>(kClients * kRepeats));
-  EXPECT_EQ(stats.results_error, 0u);
+  EXPECT_EQ(stats.counter_or("results_error_total"), 0u);
   // 7 runs per submission; only the first submission computes, the rest
   // hit the shared cache (whatever interleaving the clients produced).
-  EXPECT_EQ(stats.cache_hits + stats.computed,
+  EXPECT_EQ(stats.counter_or("cache_hits_total") +
+                stats.counter_or("runs_computed_total"),
             static_cast<std::uint64_t>(kClients * kRepeats * 7));
-  EXPECT_GE(stats.cache_hits, static_cast<std::uint64_t>(
-                                  (kClients * kRepeats - 1) * 7));
+  EXPECT_GE(stats.counter_or("cache_hits_total"),
+            static_cast<std::uint64_t>((kClients * kRepeats - 1) * 7));
 }
 
 TEST(SocketServer, RowsAreByteIdenticalAtEveryLaneCount) {
@@ -255,8 +255,8 @@ TEST(SocketServer, RowsAreByteIdenticalAtEveryLaneCount) {
           << "lanes=" << lanes << " k=" << k;
     }
     const auto stats = fixture.finish();
-    EXPECT_EQ(stats.lanes, lanes);
-    EXPECT_EQ(stats.results_ok, 3u);
+    EXPECT_EQ(static_cast<unsigned>(stats.gauge_or("lanes")), lanes);
+    EXPECT_EQ(stats.counter_or("results_ok_total"), 3u);
   }
 }
 
@@ -290,8 +290,8 @@ TEST(SocketServer, PipelinedSubmitsComeBackInSubmitOrderWithTheRightBytes) {
         << "response " << i;
   }
   const auto stats = fixture.finish();
-  EXPECT_EQ(stats.results_ok, jobs.size());
-  EXPECT_EQ(stats.jobs_dropped, 0u);
+  EXPECT_EQ(stats.counter_or("results_ok_total"), jobs.size());
+  EXPECT_EQ(stats.counter_or("jobs_dropped_total"), 0u);
 }
 
 TEST(SocketServer, SmallJobIsNotHeadOfLineBlockedBehindALongSweep) {
@@ -381,13 +381,14 @@ TEST(SocketServer, MultiLaneClientsShareTheCacheAndConserveRuns) {
     EXPECT_TRUE(failures[c].empty()) << "client " << c << ": " << failures[c];
   }
   const auto stats = fixture.finish();
-  EXPECT_EQ(stats.results_ok,
+  EXPECT_EQ(stats.counter_or("results_ok_total"),
             static_cast<std::uint64_t>(kClients * kRepeats));
   // Concurrent lanes may each compute a unit the cache does not hold
   // yet (both then fill the same entry — publication is atomic), so
   // exact hit counts depend on interleaving. Conservation does not:
   // every run was either a hit or computed.
-  EXPECT_EQ(stats.cache_hits + stats.computed,
+  EXPECT_EQ(stats.counter_or("cache_hits_total") +
+                stats.counter_or("runs_computed_total"),
             static_cast<std::uint64_t>(kClients * kRepeats * 7));
 }
 
@@ -420,8 +421,8 @@ TEST(SocketServer, HangupWithQueuedJobsDropsThemAndOthersKeepBeingServed) {
   const net::SubmitOutcome outcome = client.submit(kJobs);
   EXPECT_TRUE(outcome.ok) << outcome.error;
   const auto stats = fixture.finish();
-  EXPECT_EQ(stats.jobs_dropped, 2u);
-  EXPECT_EQ(stats.protocol_errors, 1u);
+  EXPECT_EQ(stats.counter_or("jobs_dropped_total"), 2u);
+  EXPECT_EQ(stats.counter_or("protocol_errors_total"), 1u);
 }
 
 TEST(SocketServer, ConnectRetryWaitsOutAServerThatIsStillStarting) {
@@ -495,9 +496,9 @@ TEST(SocketServer, MalformedJobFileGetsLineNumberedErrAndSessionSurvives) {
   EXPECT_NE(empty.error.find("no jobs"), std::string::npos) << empty.error;
 
   const auto stats = fixture.finish();
-  EXPECT_EQ(stats.results_ok, 1u);
-  EXPECT_EQ(stats.results_error, 2u);
-  EXPECT_EQ(stats.protocol_errors, 0u);
+  EXPECT_EQ(stats.counter_or("results_ok_total"), 1u);
+  EXPECT_EQ(stats.counter_or("results_error_total"), 2u);
+  EXPECT_EQ(stats.counter_or("protocol_errors_total"), 0u);
 }
 
 TEST(SocketServer, GarbageMagicIsClassifiedAndOtherClientsKeepBeingServed) {
@@ -519,8 +520,8 @@ TEST(SocketServer, GarbageMagicIsClassifiedAndOtherClientsKeepBeingServed) {
   const net::SubmitOutcome outcome = survivor.submit(kJobs);
   EXPECT_TRUE(outcome.ok) << outcome.error;
   const auto stats = fixture.finish();
-  EXPECT_EQ(stats.protocol_errors, 1u);
-  EXPECT_EQ(stats.results_ok, 1u);
+  EXPECT_EQ(stats.counter_or("protocol_errors_total"), 1u);
+  EXPECT_EQ(stats.counter_or("results_ok_total"), 1u);
 }
 
 TEST(SocketServer, OversizedDeclaredLengthIsRejectedFromTheHeader) {
@@ -539,7 +540,7 @@ TEST(SocketServer, OversizedDeclaredLengthIsRejectedFromTheHeader) {
   EXPECT_EQ(reply->type, net::FrameType::kError);
   EXPECT_NE(reply->payload.find("oversized"), std::string::npos)
       << reply->payload;
-  EXPECT_EQ(fixture.finish().protocol_errors, 1u);
+  EXPECT_EQ(fixture.finish().counter_or("protocol_errors_total"), 1u);
 }
 
 TEST(SocketServer, MidFrameDisconnectIsCountedAndTheServerKeepsServing) {
@@ -582,8 +583,8 @@ TEST(SocketServer, SlowLorisPartialHeaderIsReapedWithAClassifiedTimeout) {
   net::Client client = net::Client::connect(fixture.endpoint());
   EXPECT_TRUE(client.submit(kJobs).ok);
   const auto stats = fixture.finish();
-  EXPECT_EQ(stats.timeouts, 1u);
-  EXPECT_GE(stats.protocol_errors, 1u);
+  EXPECT_EQ(stats.counter_or("timeouts_total"), 1u);
+  EXPECT_GE(stats.counter_or("protocol_errors_total"), 1u);
 }
 
 TEST(SocketServer, ClientThatNeverReadsItsResponsesIsReaped) {
@@ -616,6 +617,29 @@ TEST(SocketServer, PingStatsAndHello) {
   EXPECT_NE(stats.find("draining 0"), std::string::npos) << stats;
   EXPECT_NE(stats.find("lanes "), std::string::npos) << stats;
   EXPECT_NE(stats.find("jobs_dropped 0"), std::string::npos) << stats;
+}
+
+/// The `results_ok N` line of a stats text, or "" when absent.
+std::string results_ok_line(const std::string& stats) {
+  std::istringstream is(stats);
+  for (std::string line; std::getline(is, line);) {
+    if (line.rfind("results_ok ", 0) == 0) return line;
+  }
+  return "";
+}
+
+TEST(SocketServer, ExitTextAndStatsFrameAgreeOnResultsOk) {
+  ServerFixture fixture;
+  {
+    net::Client client = net::Client::connect(fixture.endpoint());
+    ASSERT_TRUE(client.submit(kJobs).ok);
+    ASSERT_TRUE(client.submit(kJobs).ok);
+    EXPECT_EQ(results_ok_line(client.stats()), "results_ok 2");
+  }
+  fixture.finish();
+  // The CLI prints stats_text() when run() returns: the same renderer, so
+  // the exit report and the STATS frame cannot disagree.
+  EXPECT_EQ(results_ok_line(fixture.server().stats_text()), "results_ok 2");
 }
 
 TEST(SocketServer, ShutdownFrameDrainsTheServer) {
@@ -742,7 +766,7 @@ TEST(SocketServer, TcpEphemeralPortOnLocalhostServes) {
 TEST(SocketServer, RequestStopUnblocksRunFromAnotherThread) {
   ServerFixture fixture;
   const auto stats = fixture.finish();  // request_stop + join
-  EXPECT_EQ(stats.submits_accepted, 0u);
+  EXPECT_EQ(stats.counter_or("submits_accepted_total"), 0u);
   EXPECT_TRUE(fixture.server().stop_requested());
 }
 
@@ -823,8 +847,9 @@ TEST(SocketServer, JournaledSubmitWithoutCompletionIsRecoveredIntoTheCache) {
   EXPECT_EQ(outcome.result.summary_csv, reference.summary_csv);
 
   const auto stats = fixture.finish();
-  EXPECT_EQ(stats.computed, 7u);    // the recovery pass, nothing else
-  EXPECT_EQ(stats.cache_hits, 7u);  // the retry, entirely warm
+  // The recovery pass computed everything; the retry was entirely warm.
+  EXPECT_EQ(stats.counter_or("runs_computed_total"), 7u);
+  EXPECT_EQ(stats.counter_or("cache_hits_total"), 7u);
 }
 
 TEST(SocketServer, CompletedSubmitsAreNeverReExecutedOnRestart) {
@@ -856,8 +881,8 @@ TEST(SocketServer, CompletedSubmitsAreNeverReExecutedOnRestart) {
   ASSERT_TRUE(outcome.ok) << outcome.error;
   EXPECT_EQ(outcome.result.runs_csv, direct_reference(kJobs).runs_csv);
   const auto stats = restarted.finish();
-  EXPECT_EQ(stats.cache_hits, 7u);
-  EXPECT_EQ(stats.computed, 0u);
+  EXPECT_EQ(stats.counter_or("cache_hits_total"), 7u);
+  EXPECT_EQ(stats.counter_or("runs_computed_total"), 0u);
 }
 
 TEST(SocketServer, RecoveryWithoutACacheDropsTheClaimsCleanly) {

@@ -1,16 +1,24 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "support/assert.hpp"
 #include "support/bits.hpp"
 #include "support/fingerprint.hpp"
+#include "support/fsutil.hpp"
 #include "support/parse.hpp"
 #include "support/random.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
+#include "test_helpers.hpp"
 
 namespace distapx {
 namespace {
@@ -291,6 +299,106 @@ TEST(Table, WriteJson) {
   EXPECT_NE(json.find("\"name\": \"007\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"count\": -3"), std::string::npos) << json;
   EXPECT_NE(json.find("say \\\"hi\\\"\\n"), std::string::npos) << json;
+}
+
+// ---- durable publication --------------------------------------------------
+
+namespace fs = std::filesystem;
+
+std::string slurp(const fs::path& path) {
+  std::ifstream is(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
+}
+
+/// Names in `dir` other than `keep` (temp droppings, stray files).
+std::vector<std::string> others_in(const fs::path& dir,
+                                   const std::string& keep) {
+  std::vector<std::string> out;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    if (e.path().filename() != keep) out.push_back(e.path().filename());
+  }
+  return out;
+}
+
+/// Restores the process-wide durability level on scope exit.
+struct DurabilityGuard {
+  fsutil::Durability saved = fsutil::durability();
+  ~DurabilityGuard() { fsutil::set_durability(saved); }
+};
+
+TEST(WriteFileDurable, ConcurrentPublishersOfOnePathAllSucceed) {
+  const test::ScopedTempDir dir("distapx-publish-race");
+  fs::create_directories(dir.path);
+  const fs::path dest = dir.path / "entry.rr";
+  const DurabilityGuard guard;
+  fsutil::set_durability(fsutil::Durability::kNone);  // the race, not disks
+
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 100;
+  std::vector<std::string> payloads;
+  for (int t = 0; t < kThreads; ++t) {
+    payloads.emplace_back(4096, static_cast<char>('a' + t));
+  }
+  std::vector<int> failures(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int r = 0; r < kRounds; ++r) {
+        if (!fsutil::write_file_durable(dest, payloads[t])) ++failures[t];
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(failures[t], 0) << "thread " << t;
+  }
+  // Exactly one writer's bytes, never an interleaving or a truncation.
+  const std::string content = slurp(dest);
+  EXPECT_NE(std::find(payloads.begin(), payloads.end(), content),
+            payloads.end())
+      << "published " << content.size() << " bytes of a mix";
+  EXPECT_TRUE(others_in(dir.path, "entry.rr").empty());
+}
+
+TEST(WriteFileDurable, UnwritableDestinationFailsAndLeavesNothing) {
+  const test::ScopedTempDir dir("distapx-publish-fail");
+  fs::create_directories(dir.path / "occupied");
+
+  // The parent directory does not exist: the temp cannot be created.
+  std::string error;
+  EXPECT_FALSE(fsutil::write_file_durable(dir.path / "missing" / "f", "x",
+                                          &error));
+  EXPECT_NE(error.find("missing"), std::string::npos) << error;
+
+  // A directory squats on the name: the temp is written, the rename
+  // fails, and the temp is removed again.
+  error.clear();
+  EXPECT_FALSE(
+      fsutil::write_file_durable(dir.path / "occupied", "payload", &error));
+  EXPECT_NE(error.find("cannot publish"), std::string::npos) << error;
+  EXPECT_TRUE(fs::is_directory(dir.path / "occupied"));
+  EXPECT_TRUE(fs::is_empty(dir.path / "occupied"));
+  EXPECT_TRUE(others_in(dir.path, "occupied").empty());
+}
+
+TEST(WriteFileDurable, FailedDirectorySyncReportsFalseWithContentInPlace) {
+  const test::ScopedTempDir dir("distapx-publish-dirsync");
+  fs::create_directories(dir.path);
+  const fs::path dest = dir.path / "out.txt";
+  ASSERT_TRUE(fsutil::write_file_durable(dest, "old"));
+
+  fsutil::set_fail_dir_sync_for_testing(true);
+  std::string error;
+  const bool ok = fsutil::write_file_durable(dest, "new", &error);
+  fsutil::set_fail_dir_sync_for_testing(false);
+
+  // The rename happened, so the new bytes are in place — but the call
+  // reports the publish as not durable, and no temp is left behind.
+  EXPECT_FALSE(ok);
+  EXPECT_NE(error.find("cannot sync directory"), std::string::npos) << error;
+  EXPECT_EQ(slurp(dest), "new");
+  EXPECT_TRUE(others_in(dir.path, "out.txt").empty());
 }
 
 }  // namespace

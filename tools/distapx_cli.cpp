@@ -2,29 +2,11 @@
 // file-loaded graph, printing the solution and the CONGEST accounting;
 // or serve a whole mixed-workload job file through the batch server.
 //
-// Usage:
-//   distapx_cli <algorithm> [options]
-//   distapx_cli batch <jobfile> [--threads N] [--cache DIR]
-//                     [--cache-budget SIZE] [--durability none|full]
-//                     [--csv F] [--json F] [--runs F] [--quiet]
-//   distapx_cli serve <spool-dir> [--cache-dir DIR] [--cache-budget SIZE]
-//                     [--threads N] [--poll-ms M] [--max-files K] [--once]
-//                     [--durability none|full] [--admin ADDR]
-//                     [--log-level LEVEL] [--slow-ms M]
-//   distapx_cli serve --listen <path|host:port> [--cache-dir DIR]
-//                     [--cache-budget SIZE] [--journal PATH] [--threads N]
-//                     [--lanes N] [--max-requests K] [--idle-timeout-ms M]
-//                     [--no-remote-shutdown] [--durability none|full]
-//                     [--admin ADDR] [--log-level LEVEL] [--slow-ms M]
-//   distapx_cli submit <path|host:port> <jobfile> [--summary F] [--runs F]
-//                     [--report F] [--connect-timeout-ms M] [--trace]
-//                     [--quiet]
-//   distapx_cli submit <path|host:port> {--ping | --stats | --shutdown}
-//   distapx_cli loadgen <path|host:port> <jobfile> [--clients K]
-//                     [--repeat R] [--pipeline P] [--connect-timeout-ms M]
-//                     [--quiet]
-//   distapx_cli cache <dir> {stats | ls | verify [--quarantine|--delete] |
-//                     gc --budget SIZE | clear | prewarm | checkpoint}
+// Usage: run with no arguments. Each subcommand's usage line is generated
+// from the same flag table its parser uses (FlagSet below), so the list
+// printed there is the complete, current one. A single run (`distapx_cli
+// <algorithm> ...`) builds its graph and weights with resolve_job, exactly
+// as a batch job whose gseed is --seed.
 //
 // Algorithms:
 //   luby           Luby's MIS
@@ -37,14 +19,8 @@
 //   mwm-2eps       (2+ε)-approx MWM (App B.1)
 //   mcm-1eps       (1+ε)-approx MCM (Thm B.12)
 //   proposal       (2+ε)-approx MCM via proposals (App B.4)
-//
-// Options:
-//   --graph FILE       load edge list (see graph/io.hpp)
-//   --gen SPEC         generator spec (full list: graph/genspec.hpp)
-//   --seed S           run seed (default 1)
-//   --eps E            epsilon for the (2+ε)/(1+ε) algorithms
-//   --maxw W           random integer weights in [1, W] (default 100)
-//   --out FILE         write the solution (ids, one per line)
+
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -52,6 +28,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <iterator>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -60,9 +37,7 @@
 #include <vector>
 
 #include "graph/algos.hpp"
-#include "graph/generators.hpp"
 #include "graph/genspec.hpp"
-#include "graph/io.hpp"
 #include "net/client.hpp"
 #include "net/http_admin.hpp"
 #include "net/socket.hpp"
@@ -110,28 +85,6 @@ struct Options {
   std::exit(2);
 }
 
-std::uint64_t flag_uint(const std::string& flag, const std::string& tok,
-                        std::uint64_t max_value = UINT64_MAX) {
-  const auto v = parse_uint_strict(tok, max_value);
-  if (!v) usage_error(flag + " " + tok + " is not a non-negative integer");
-  return *v;
-}
-
-double flag_double(const std::string& flag, const std::string& tok) {
-  const auto v = parse_double_strict(tok);
-  if (!v) usage_error(flag + " " + tok + " is not a finite number");
-  return *v;
-}
-
-std::uint64_t flag_size(const std::string& flag, const std::string& tok) {
-  const auto v = parse_size_bytes(tok);
-  if (!v) {
-    usage_error(flag + " " + tok +
-                " is not a byte size (integer with optional k/m/g suffix)");
-  }
-  return *v;
-}
-
 /// Declarative option table: each subcommand registers its flags once —
 /// typed target, value placeholder, range — and shares one parse loop,
 /// uniform unknown-flag / missing-value / out-of-range diagnostics, and a
@@ -161,9 +114,13 @@ class FlagSet {
     return add(name, arg,
                [out, max_value, min_value](const std::string& flag,
                                            const std::string& tok) {
-                 const std::uint64_t v = flag_uint(flag, tok, max_value);
-                 if (v < min_value) usage_error(flag + " must be positive");
-                 *out = static_cast<T>(v);
+                 const auto v = parse_uint_strict(tok, max_value);
+                 if (!v) {
+                   usage_error(flag + " " + tok +
+                               " is not a non-negative integer");
+                 }
+                 if (*v < min_value) usage_error(flag + " must be positive");
+                 *out = static_cast<T>(*v);
                });
   }
 
@@ -174,7 +131,13 @@ class FlagSet {
                 bool* seen = nullptr) {
     return add(name, arg,
                [out, seen](const std::string& flag, const std::string& tok) {
-                 *out = static_cast<T>(flag_size(flag, tok));
+                 const auto v = parse_size_bytes(tok);
+                 if (!v) {
+                   usage_error(flag + " " + tok +
+                               " is not a byte size (integer with optional "
+                               "k/m/g suffix)");
+                 }
+                 *out = static_cast<T>(*v);
                  if (seen != nullptr) *seen = true;
                });
   }
@@ -182,7 +145,11 @@ class FlagSet {
   FlagSet& real(const char* name, const char* arg, double* out) {
     return add(name, arg,
                [out](const std::string& flag, const std::string& tok) {
-                 *out = flag_double(flag, tok);
+                 const auto v = parse_double_strict(tok);
+                 if (!v) {
+                   usage_error(flag + " " + tok + " is not a finite number");
+                 }
+                 *out = *v;
                });
   }
 
@@ -323,17 +290,12 @@ void print_metrics(const sim::RunMetrics& m) {
   std::cout << "\n";
 }
 
-void write_ids(const std::string& path, const std::vector<NodeId>& ids) {
+/// --out: the solution's node or edge ids, one per line.
+template <typename Id>
+void write_ids(const std::string& path, const std::vector<Id>& ids) {
   if (path.empty()) return;
   std::ofstream os(path);
-  for (NodeId v : ids) os << v << '\n';
-  std::cout << "  solution written to " << path << "\n";
-}
-
-void write_edges(const std::string& path, const std::vector<EdgeId>& ids) {
-  if (path.empty()) return;
-  std::ofstream os(path);
-  for (EdgeId e : ids) os << e << '\n';
+  for (const Id id : ids) os << id << '\n';
   std::cout << "  solution written to " << path << "\n";
 }
 
@@ -349,6 +311,26 @@ void write_table(const std::string& path, const Table& table, bool json) {
   std::cout << "wrote " << path << "\n";
 }
 
+struct BatchArgs {
+  service::BatchOptions batch_opts;
+  std::string csv_file, json_file, runs_file, cache_dir, durability;
+  std::uint64_t cache_budget = 0;
+  bool quiet = false;
+};
+
+FlagSet batch_flags(BatchArgs& a) {
+  FlagSet flags("batch", "batch <jobfile>");
+  flags.uint("--threads", "N", &a.batch_opts.threads, 1u << 16)
+      .str("--cache", "DIR", &a.cache_dir)
+      .size("--cache-budget", "SIZE", &a.cache_budget)
+      .str("--durability", "none|full", &a.durability)
+      .str("--csv", "F", &a.csv_file)
+      .str("--json", "F", &a.json_file)
+      .str("--runs", "F", &a.runs_file)
+      .toggle("--quiet", &a.quiet);
+  return flags;
+}
+
 /// `distapx_cli batch <jobfile>`: serve a mixed workload through the batch
 /// server and emit the per-job summary (and optionally per-run rows).
 int run_batch(int argc, char** argv) {
@@ -356,36 +338,24 @@ int run_batch(int argc, char** argv) {
     usage_error("batch needs a job file (one key=value job per line)");
   }
   const std::string job_file = argv[2];
-  service::BatchOptions batch_opts;
-  std::string csv_file, json_file, runs_file, cache_dir, durability;
-  std::uint64_t cache_budget = 0;
-  bool quiet = false;
-  FlagSet flags("batch", "batch <jobfile>");
-  flags.uint("--threads", "N", &batch_opts.threads, 1u << 16)
-      .str("--cache", "DIR", &cache_dir)
-      .size("--cache-budget", "SIZE", &cache_budget)
-      .str("--durability", "LEVEL", &durability)
-      .str("--csv", "F", &csv_file)
-      .str("--json", "F", &json_file)
-      .str("--runs", "F", &runs_file)
-      .toggle("--quiet", &quiet);
-  flags.parse(arg_rest(argc, argv, 3));
-  apply_durability(durability);
+  BatchArgs a;
+  batch_flags(a).parse(arg_rest(argc, argv, 3));
+  apply_durability(a.durability);
 
-  if (cache_budget != 0 && cache_dir.empty()) {
+  if (a.cache_budget != 0 && a.cache_dir.empty()) {
     usage_error("--cache-budget needs --cache DIR");
   }
   std::optional<service::ResultCache> cache;
-  if (!cache_dir.empty()) {
+  if (!a.cache_dir.empty()) {
     try {
-      cache.emplace(cache_dir, cache_budget);
+      cache.emplace(a.cache_dir, a.cache_budget);
     } catch (const std::exception& e) {
       usage_error(e.what());
     }
-    batch_opts.cache = &*cache;
+    a.batch_opts.cache = &*cache;
   }
 
-  service::BatchServer server(batch_opts);
+  service::BatchServer server(a.batch_opts);
   try {
     std::istringstream is(service::read_job_file(job_file));
     server.submit_all(service::parse_job_file(is));
@@ -408,7 +378,7 @@ int run_batch(int argc, char** argv) {
   }
   const Table summary = service::summary_table(result);
   const Table runs = service::runs_table(result);
-  if (!quiet) {
+  if (!a.quiet) {
     summary.print(std::cout);
     std::cout << result.total_runs << " runs over " << result.jobs.size()
               << " jobs on " << result.threads_used << " threads in "
@@ -421,16 +391,37 @@ int run_batch(int argc, char** argv) {
                                   : static_cast<double>(result.cache_hits) /
                                         static_cast<double>(result.total_runs),
                               3)
-                << ") in " << cache_dir << "\n";
+                << ") in " << a.cache_dir << "\n";
     }
   }
-  write_table(csv_file, summary, /*json=*/false);
-  write_table(json_file, summary, /*json=*/true);
-  write_table(runs_file, runs, /*json=*/false);
+  write_table(a.csv_file, summary, /*json=*/false);
+  write_table(a.json_file, summary, /*json=*/true);
+  write_table(a.runs_file, runs, /*json=*/false);
   return 0;
 }
 
 int run_serve_socket(int argc, char** argv);
+
+struct SpoolArgs {
+  service::DaemonOptions opts;
+  std::string admin_addr, log_level, durability;
+  bool once = false;
+};
+
+FlagSet spool_flags(SpoolArgs& a) {
+  FlagSet flags("serve", "serve <spool-dir>");
+  flags.str("--cache-dir", "DIR", &a.opts.cache_dir)
+      .size("--cache-budget", "SIZE", &a.opts.cache_budget)
+      .uint("--threads", "N", &a.opts.threads, 1u << 16)
+      .uint("--poll-ms", "M", &a.opts.poll_ms, 1u << 24)
+      .uint("--max-files", "K", &a.opts.max_files)
+      .toggle("--once", &a.once)
+      .str("--durability", "none|full", &a.durability)
+      .str("--admin", "ADDR", &a.admin_addr)
+      .str("--log-level", "LEVEL", &a.log_level)
+      .uint("--slow-ms", "M", &a.opts.slow_ms, 1u << 30);
+  return flags;
+}
 
 /// `distapx_cli serve <spool-dir>`: the long-lived spool-watching daemon.
 /// Results land in <spool>/done, quarantined files in <spool>/failed; stop
@@ -444,53 +435,41 @@ int run_serve(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) {
     if (std::string(argv[i]) == "--listen") return run_serve_socket(argc, argv);
   }
-  service::DaemonOptions opts;
-  opts.spool_dir = argv[2];
-  std::string admin_addr, log_level, durability;
-  bool once = false;
-  FlagSet flags("serve", "serve <spool-dir>");
-  flags.str("--cache-dir", "DIR", &opts.cache_dir)
-      .size("--cache-budget", "SIZE", &opts.cache_budget)
-      .uint("--threads", "N", &opts.threads, 1u << 16)
-      .uint("--poll-ms", "M", &opts.poll_ms, 1u << 24)
-      .uint("--max-files", "K", &opts.max_files)
-      .toggle("--once", &once)
-      .str("--durability", "LEVEL", &durability)
-      .str("--admin", "ADDR", &admin_addr)
-      .str("--log-level", "LEVEL", &log_level)
-      .uint("--slow-ms", "M", &opts.slow_ms, 1u << 30);
-  flags.parse(arg_rest(argc, argv, 3));
-  apply_log_level(log_level);
-  apply_durability(durability);
+  SpoolArgs a;
+  a.opts.spool_dir = argv[2];
+  spool_flags(a).parse(arg_rest(argc, argv, 3));
+  apply_log_level(a.log_level);
+  apply_durability(a.durability);
 
   // One process registry shared by daemon, cache, and batch servers;
   // declared before the daemon and admin endpoint that borrow it.
   metrics::Registry registry;
   const FsyncCounterScope fsync_scope(registry);
   procstat::install_process_metrics(registry);
-  opts.registry = &registry;
+  a.opts.registry = &registry;
   // Per-file traces land here; /tracez renders them.
   trace::TraceSink trace_sink;
-  opts.trace_sink = &trace_sink;
+  a.opts.trace_sink = &trace_sink;
   std::optional<service::Daemon> daemon;
   try {
-    daemon.emplace(opts);
+    daemon.emplace(a.opts);
   } catch (const std::exception& e) {
     usage_error(e.what());
   }
   std::optional<net::AdminServer> admin;
-  start_admin(admin_addr, registry, admin, &trace_sink,
+  start_admin(a.admin_addr, registry, admin, &trace_sink,
               {{"mode", "spool"},
-               {"spool_dir", opts.spool_dir},
+               {"spool_dir", a.opts.spool_dir},
                {"cache_dir",
-                opts.cache_dir.empty() ? "(none)" : opts.cache_dir},
-               {"durability", durability.empty() ? "full" : durability}});
-  std::cout << "serving spool " << opts.spool_dir
-            << (opts.cache_dir.empty() ? std::string(" (no cache)")
-                                       : " (cache " + opts.cache_dir + ")")
-            << (once ? ", single drain\n" : "\n");
+                a.opts.cache_dir.empty() ? "(none)" : a.opts.cache_dir},
+               {"durability", a.durability.empty() ? "full" : a.durability}});
+  std::cout << "serving spool " << a.opts.spool_dir
+            << (a.opts.cache_dir.empty()
+                    ? std::string(" (no cache)")
+                    : " (cache " + a.opts.cache_dir + ")")
+            << (a.once ? ", single drain\n" : "\n");
 
-  const auto reports = once ? daemon->drain_once() : daemon->run();
+  const auto reports = a.once ? daemon->drain_once() : daemon->run();
   std::uint64_t failed = 0;
   for (const auto& r : reports) {
     if (r.resumed) {
@@ -520,14 +499,37 @@ extern "C" void handle_stop_signal(int) {
   if (server != nullptr) server->request_stop();
 }
 
+struct ListenArgs {
+  service::SocketServerOptions opts;
+  std::string admin_addr, log_level, durability;
+};
+
+FlagSet listen_flags(ListenArgs& a) {
+  FlagSet flags("serve --listen", "serve --listen <path|host:port>");
+  flags.str("--cache-dir", "DIR", &a.opts.cache_dir)
+      .size("--cache-budget", "SIZE", &a.opts.cache_budget)
+      .str("--journal", "PATH", &a.opts.journal_path)
+      .uint("--threads", "N", &a.opts.threads, 1u << 16)
+      .uint("--lanes", "N", &a.opts.lanes, 1u << 10)
+      .uint("--max-requests", "K", &a.opts.max_requests)
+      .uint("--idle-timeout-ms", "M", &a.opts.idle_timeout_ms, 1u << 30)
+      .size("--max-frame", "SIZE", &a.opts.max_frame_bytes)
+      .toggle("--no-remote-shutdown", &a.opts.allow_remote_shutdown, false)
+      .str("--durability", "none|full", &a.durability)
+      .str("--admin", "ADDR", &a.admin_addr)
+      .str("--log-level", "LEVEL", &a.log_level)
+      .uint("--slow-ms", "M", &a.opts.slow_ms, 1u << 30);
+  return flags;
+}
+
 /// `distapx_cli serve --listen <addr>`: the framed socket server. Same
 /// serve path as the spool daemon (cache-backed BatchServer), but job
 /// files arrive in SUBMIT frames and results return in RESULT frames.
 /// Stop with SIGINT/SIGTERM (graceful drain), `--max-requests`, or a
 /// client's SHUTDOWN frame.
 int run_serve_socket(int argc, char** argv) {
-  service::SocketServerOptions opts;
-  std::string listen_addr, admin_addr, log_level, durability;
+  ListenArgs a;
+  std::string listen_addr;
   // --listen is the mode selector, not an option of the mode: pull it
   // (and its value) out first, then hand the rest to the table.
   std::vector<std::string> rest;
@@ -539,44 +541,30 @@ int run_serve_socket(int argc, char** argv) {
       rest.emplace_back(argv[i]);
     }
   }
-  FlagSet flags("serve --listen", "serve --listen <path|host:port>");
-  flags.str("--cache-dir", "DIR", &opts.cache_dir)
-      .size("--cache-budget", "SIZE", &opts.cache_budget)
-      .str("--journal", "PATH", &opts.journal_path)
-      .uint("--threads", "N", &opts.threads, 1u << 16)
-      .uint("--lanes", "N", &opts.lanes, 1u << 10)
-      .uint("--max-requests", "K", &opts.max_requests)
-      .uint("--idle-timeout-ms", "M", &opts.idle_timeout_ms, 1u << 30)
-      .size("--max-frame", "SIZE", &opts.max_frame_bytes)
-      .toggle("--no-remote-shutdown", &opts.allow_remote_shutdown, false)
-      .str("--durability", "LEVEL", &durability)
-      .str("--admin", "ADDR", &admin_addr)
-      .str("--log-level", "LEVEL", &log_level)
-      .uint("--slow-ms", "M", &opts.slow_ms, 1u << 30);
-  flags.parse(rest);
-  apply_log_level(log_level);
-  apply_durability(durability);
+  listen_flags(a).parse(rest);
+  apply_log_level(a.log_level);
+  apply_durability(a.durability);
 
   // One process registry shared by the server, its cache, and its batch
   // servers; the admin endpoint scrapes all of it from one page.
   metrics::Registry registry;
   const FsyncCounterScope fsync_scope(registry);
   procstat::install_process_metrics(registry);
-  opts.registry = &registry;
+  a.opts.registry = &registry;
   // Per-SUBMIT traces land here; /tracez renders them. Declared before
   // the server so it outlives run().
   trace::TraceSink trace_sink;
-  opts.trace_sink = &trace_sink;
+  a.opts.trace_sink = &trace_sink;
   std::optional<service::SocketServer> server;
   try {
-    opts.endpoint = net::parse_endpoint(listen_addr);
-    server.emplace(std::move(opts));
+    a.opts.endpoint = net::parse_endpoint(listen_addr);
+    server.emplace(std::move(a.opts));
   } catch (const std::exception& e) {
     usage_error(e.what());
   }
   std::optional<net::AdminServer> admin;
   const service::SocketServerOptions& sopts = server->options();
-  start_admin(admin_addr, registry, admin, &trace_sink,
+  start_admin(a.admin_addr, registry, admin, &trace_sink,
               {{"mode", "socket"},
                {"endpoint", server->endpoint().to_string()},
                {"lanes", std::to_string(sopts.lanes)},
@@ -584,7 +572,7 @@ int run_serve_socket(int argc, char** argv) {
                 sopts.cache_dir.empty() ? "(none)" : sopts.cache_dir},
                {"journal",
                 sopts.journal_path.empty() ? "(none)" : sopts.journal_path},
-               {"durability", durability.empty() ? "full" : durability}});
+               {"durability", a.durability.empty() ? "full" : a.durability}});
   g_socket_server.store(&*server);
   std::signal(SIGINT, handle_stop_signal);
   std::signal(SIGTERM, handle_stop_signal);
@@ -595,22 +583,15 @@ int run_serve_socket(int argc, char** argv) {
                     : " (cache " + server->options().cache_dir + ")")
             << "\n"
             << std::flush;
-  const service::SocketServerStats stats = server->run();
+  server->run();
   // Restore default dispositions before the server object dies; a signal
   // between these lines still sees a live pointer (run() has returned,
   // so request_stop on it is a harmless no-op).
   std::signal(SIGINT, SIG_DFL);
   std::signal(SIGTERM, SIG_DFL);
   g_socket_server.store(nullptr);
-  std::cout << "connections_accepted " << stats.connections_accepted << "\n"
-            << "submits_accepted " << stats.submits_accepted << "\n"
-            << "results_ok " << stats.results_ok << "\n"
-            << "results_error " << stats.results_error << "\n"
-            << "protocol_errors " << stats.protocol_errors << "\n"
-            << "timeouts " << stats.timeouts << "\n"
-            << "cache_hits " << stats.cache_hits << "\n"
-            << "computed " << stats.computed << "\n"
-            << "jobs_dropped " << stats.jobs_dropped << "\n";
+  // The final counters: the same text a STATS frame carries.
+  std::cout << server->stats_text();
   // Recent-window latency quantiles (last ~1-2 min of the run) next to
   // the lifetime counters, from the same registry the admin page reads.
   for (const auto& h : registry.snapshot().histograms) {
@@ -631,6 +612,27 @@ void write_text_or_die(const std::string& path, const std::string& text) {
   if (!os) usage_error("cannot write " + path);
 }
 
+struct SubmitArgs {
+  std::string summary_file, runs_file, report_file;
+  // A freshly exec'd server needs a beat to bind; retrying transient
+  // connect failures here removes the "sleep until the socket file
+  // appears" dance from every script that starts a server.
+  std::uint32_t connect_timeout_ms = 5000;
+  bool quiet = false;
+  bool want_trace = false;
+};
+
+FlagSet submit_flags(SubmitArgs& a) {
+  FlagSet flags("submit", "submit <path|host:port> <jobfile>");
+  flags.str("--summary", "F", &a.summary_file)
+      .str("--runs", "F", &a.runs_file)
+      .str("--report", "F", &a.report_file)
+      .uint("--connect-timeout-ms", "M", &a.connect_timeout_ms, 1u << 30)
+      .toggle("--trace", &a.want_trace)
+      .toggle("--quiet", &a.quiet);
+  return flags;
+}
+
 /// `distapx_cli submit <addr> <jobfile>`: one request over the socket.
 /// Also the protocol's swiss-army probe: --ping / --stats / --shutdown.
 int run_submit(int argc, char** argv) {
@@ -641,28 +643,15 @@ int run_submit(int argc, char** argv) {
   }
   const std::string addr = argv[2];
   const std::string job_arg = argv[3];
-  std::string summary_file, runs_file, report_file;
-  // A freshly exec'd server needs a beat to bind; retrying transient
-  // connect failures here removes the "sleep until the socket file
-  // appears" dance from every script that starts a server.
-  std::uint32_t connect_timeout_ms = 5000;
-  bool quiet = false;
-  bool want_trace = false;
-  FlagSet flags("submit", "submit <path|host:port> <jobfile>");
-  flags.str("--summary", "F", &summary_file)
-      .str("--runs", "F", &runs_file)
-      .str("--report", "F", &report_file)
-      .uint("--connect-timeout-ms", "M", &connect_timeout_ms, 1u << 30)
-      .toggle("--trace", &want_trace)
-      .toggle("--quiet", &quiet);
-  flags.parse(arg_rest(argc, argv, 4));
+  SubmitArgs a;
+  submit_flags(a).parse(arg_rest(argc, argv, 4));
 
   try {
     net::Client client = net::Client::connect_retry(net::parse_endpoint(addr),
-                                                    connect_timeout_ms);
+                                                    a.connect_timeout_ms);
     if (job_arg == "--ping") {
       client.ping();
-      if (!quiet) std::cout << "pong from " << addr << "\n";
+      if (!a.quiet) std::cout << "pong from " << addr << "\n";
       return 0;
     }
     if (job_arg == "--stats") {
@@ -675,7 +664,7 @@ int run_submit(int argc, char** argv) {
         std::cerr << "error: " << outcome.error << "\n";
         return 1;
       }
-      if (!quiet) std::cout << "server draining\n";
+      if (!a.quiet) std::cout << "server draining\n";
       return 0;
     }
 
@@ -683,24 +672,42 @@ int run_submit(int argc, char** argv) {
     if (!is) usage_error("cannot read job file " + job_arg);
     std::ostringstream job_text;
     job_text << is.rdbuf();
-    const auto outcome = want_trace ? client.submit_traced(job_text.str())
+    const auto outcome = a.want_trace ? client.submit_traced(job_text.str())
                                     : client.submit(job_text.str());
     if (!outcome.ok) {
       std::cerr << "error: " << job_arg << ": " << outcome.error << "\n";
       return 1;
     }
-    if (!quiet) std::cout << outcome.result.report_txt;
+    if (!a.quiet) std::cout << outcome.result.report_txt;
     // The server-side span tree (SUBMITTRACE echo) goes to stderr so
     // redirecting stdout still captures exactly the report bytes.
-    if (want_trace) std::cerr << outcome.trace_txt;
-    write_text_or_die(summary_file, outcome.result.summary_csv);
-    write_text_or_die(runs_file, outcome.result.runs_csv);
-    write_text_or_die(report_file, outcome.result.report_txt);
+    if (a.want_trace) std::cerr << outcome.trace_txt;
+    write_text_or_die(a.summary_file, outcome.result.summary_csv);
+    write_text_or_die(a.runs_file, outcome.result.runs_csv);
+    write_text_or_die(a.report_file, outcome.result.report_txt);
     return 0;
   } catch (const std::exception& e) {
     std::cerr << "error: " << addr << ": " << e.what() << "\n";
     return 1;
   }
+}
+
+struct LoadgenArgs {
+  std::uint64_t clients = 4;
+  std::uint64_t repeat = 4;
+  std::uint64_t pipeline = 1;
+  std::uint32_t connect_timeout_ms = 5000;
+  bool quiet = false;
+};
+
+FlagSet loadgen_flags(LoadgenArgs& a) {
+  FlagSet flags("loadgen", "loadgen <path|host:port> <jobfile>");
+  flags.uint("--clients", "K", &a.clients, 4096, 1)
+      .uint("--repeat", "R", &a.repeat, 1u << 20, 1)
+      .uint("--pipeline", "P", &a.pipeline, 1u << 16, 1)
+      .uint("--connect-timeout-ms", "M", &a.connect_timeout_ms, 1u << 30)
+      .toggle("--quiet", &a.quiet);
+  return flags;
 }
 
 /// `distapx_cli loadgen <addr> <jobfile>`: K concurrent clients, R
@@ -713,18 +720,8 @@ int run_loadgen(int argc, char** argv) {
   if (argc < 4) usage_error("loadgen needs an address and a job file");
   const std::string addr = argv[2];
   const std::string job_file = argv[3];
-  std::uint64_t clients = 4;
-  std::uint64_t repeat = 4;
-  std::uint64_t pipeline = 1;
-  std::uint32_t connect_timeout_ms = 5000;
-  bool quiet = false;
-  FlagSet flags("loadgen", "loadgen <path|host:port> <jobfile>");
-  flags.uint("--clients", "K", &clients, 4096, 1)
-      .uint("--repeat", "R", &repeat, 1u << 20, 1)
-      .uint("--pipeline", "P", &pipeline, 1u << 16, 1)
-      .uint("--connect-timeout-ms", "M", &connect_timeout_ms, 1u << 30)
-      .toggle("--quiet", &quiet);
-  flags.parse(arg_rest(argc, argv, 4));
+  LoadgenArgs a;
+  loadgen_flags(a).parse(arg_rest(argc, argv, 4));
 
   std::ifstream is(job_file);
   if (!is) usage_error("cannot read job file " + job_file);
@@ -746,21 +743,21 @@ int run_loadgen(int argc, char** argv) {
 
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<std::thread> workers;
-  workers.reserve(clients);
-  for (std::uint64_t c = 0; c < clients; ++c) {
+  workers.reserve(a.clients);
+  for (std::uint64_t c = 0; c < a.clients; ++c) {
     workers.emplace_back([&] {
       std::uint64_t finished = 0;
       try {
         net::Client client = net::Client::connect_retry(endpoint,
-                                                        connect_timeout_ms);
+                                                        a.connect_timeout_ms);
         // Sliding pipeline window: keep up to `pipeline` SUBMITs in
         // flight; each response is matched to the oldest outstanding
         // send (per-connection FIFO), so latency covers queueing at the
         // server — the number a real pipelined consumer experiences.
         std::deque<std::chrono::steady_clock::time_point> sent_at;
         std::uint64_t submitted = 0;
-        while (finished < repeat) {
-          while (submitted < repeat && submitted - finished < pipeline) {
+        while (finished < a.repeat) {
+          while (submitted < a.repeat && submitted - finished < a.pipeline) {
             client.send_submit(job_text);
             sent_at.push_back(std::chrono::steady_clock::now());
             ++submitted;
@@ -788,7 +785,7 @@ int run_loadgen(int argc, char** argv) {
         // The connection died; only the requests it never completed count
         // (the ones above were already tallied as ok or error).
         std::lock_guard lock(mu);
-        errors += repeat - finished;
+        errors += a.repeat - finished;
       }
     });
   }
@@ -800,7 +797,7 @@ int run_loadgen(int argc, char** argv) {
   Summary lat;
   for (const double ms : latencies_ms) lat.add(ms);
   const std::uint64_t ok = latencies_ms.size();
-  if (!quiet) {
+  if (!a.quiet) {
     // percentile() requires a nonempty sample; when every request failed
     // the latency columns have nothing to say.
     const auto pct = [&](double q) {
@@ -810,7 +807,7 @@ int run_loadgen(int argc, char** argv) {
     Table t({"clients", "requests", "ok", "errors", "mismatches", "wall_s",
              "req_per_s", "lat_mean_ms", "lat_p50_ms", "lat_p95_ms",
              "lat_max_ms"});
-    t.add_row({Table::fmt(clients), Table::fmt(clients * repeat),
+    t.add_row({Table::fmt(a.clients), Table::fmt(a.clients * a.repeat),
                Table::fmt(ok), Table::fmt(errors), Table::fmt(mismatches),
                Table::fmt(wall, 3),
                Table::fmt(wall > 0 ? static_cast<double>(ok) / wall : 0.0, 1),
@@ -829,6 +826,31 @@ int run_loadgen(int argc, char** argv) {
   return errors == 0 ? 0 : 1;
 }
 
+constexpr const char* kCacheCommands[] = {
+    "stats", "ls", "verify", "gc", "clear", "prewarm", "checkpoint"};
+
+struct CacheArgs {
+  std::uint64_t limit = 0;   ///< ls
+  bool quarantine = false;   ///< verify
+  bool unlink = false;       ///< verify
+  std::uint64_t budget = 0;  ///< gc
+  bool have_budget = false;  ///< gc
+};
+
+/// The flags of one cache command (none for stats/clear/prewarm/
+/// checkpoint, so a stray flag there dies with that command's usage).
+FlagSet cache_flags(const std::string& command, CacheArgs& a) {
+  FlagSet flags("cache " + command, "cache <dir> " + command);
+  if (command == "ls") flags.uint("--limit", "N", &a.limit);
+  if (command == "verify") {
+    flags.toggle("--quarantine", &a.quarantine).toggle("--delete", &a.unlink);
+  }
+  if (command == "gc") {
+    flags.size("--budget", "SIZE", &a.budget, &a.have_budget);
+  }
+  return flags;
+}
+
 /// `distapx_cli cache <dir> <command>`: inspect and repair a result-cache
 /// directory. Output is stable `key value` lines (stats/gc) or a table
 /// (ls), so CI and scripts can assert on it.
@@ -841,6 +863,13 @@ int run_cache(int argc, char** argv) {
   }
   const std::string dir = argv[2];
   const std::string command = argv[3];
+  if (std::find(std::begin(kCacheCommands), std::end(kCacheCommands),
+                command) == std::end(kCacheCommands)) {
+    usage_error("unknown cache command " + command);
+  }
+  // Flags first: a typo must not create the cache directory.
+  CacheArgs a;
+  cache_flags(command, a).parse(arg_rest(argc, argv, 4));
 
   std::optional<service::CacheManager> manager;
   try {
@@ -850,30 +879,25 @@ int run_cache(int argc, char** argv) {
   }
 
   if (command == "stats") {
-    if (argc > 4) usage_error("cache stats takes no flags");
     // stats() refreshes the walk-derived gauges; the printed numbers then
     // come from the registry snapshot — the same source /metrics reads.
-    static_cast<void>(manager->stats());
-    const auto s =
-        service::cache_dir_stats_from(manager->registry().snapshot());
-    std::cout << "entries " << s.entries << "\n"
-              << "bytes " << s.bytes << "\n"
-              << "manifest_bytes " << s.manifest_bytes << "\n"
-              << "quarantined " << s.quarantined << "\n";
+    manager->stats();
+    const metrics::Snapshot snap = manager->registry().snapshot();
+    std::cout << "entries " << snap.gauge_or("cache_entries") << "\n"
+              << "bytes " << snap.gauge_or("cache_bytes") << "\n"
+              << "manifest_bytes " << snap.gauge_or("cache_manifest_bytes")
+              << "\n"
+              << "quarantined " << snap.gauge_or("cache_quarantined") << "\n";
     return 0;
   }
 
   if (command == "ls") {
-    std::uint64_t limit = 0;
-    FlagSet flags("cache ls", "cache <dir> ls");
-    flags.uint("--limit", "N", &limit);
-    flags.parse(arg_rest(argc, argv, 4));
     // LRU first: the top of the listing is what gc would evict next.
     const auto entries = manager->entries_lru();
     Table t({"key", "bytes", "last_access"});
     std::uint64_t shown = 0;
     for (const auto& e : entries) {
-      if (limit != 0 && shown++ >= limit) break;
+      if (a.limit != 0 && shown++ >= a.limit) break;
       t.add_row({e.key.hex(), Table::fmt(e.size), Table::fmt(e.last_access)});
     }
     t.print(std::cout);
@@ -882,15 +906,10 @@ int run_cache(int argc, char** argv) {
   }
 
   if (command == "verify") {
-    bool quarantine = false;
-    bool unlink = false;
-    FlagSet flags("cache verify", "cache <dir> verify");
-    flags.toggle("--quarantine", &quarantine).toggle("--delete", &unlink);
-    flags.parse(arg_rest(argc, argv, 4));
     const service::RepairMode mode =
-        unlink ? service::RepairMode::kDelete
-               : quarantine ? service::RepairMode::kQuarantine
-                            : service::RepairMode::kReport;
+        a.unlink ? service::RepairMode::kDelete
+                 : a.quarantine ? service::RepairMode::kQuarantine
+                                : service::RepairMode::kReport;
     const auto report = manager->verify(mode);
     for (const auto& f : report.findings) {
       std::cout << "invalid " << f.path << " ("
@@ -906,13 +925,8 @@ int run_cache(int argc, char** argv) {
   }
 
   if (command == "gc") {
-    std::uint64_t budget = 0;
-    bool have_budget = false;
-    FlagSet flags("cache gc", "cache <dir> gc");
-    flags.size("--budget", "SIZE", &budget, &have_budget);
-    flags.parse(arg_rest(argc, argv, 4));
-    if (!have_budget) usage_error("cache gc needs --budget SIZE");
-    const auto report = manager->gc(budget);
+    if (!a.have_budget) usage_error("cache gc needs --budget SIZE");
+    const auto report = manager->gc(a.budget);
     std::cout << "evicted_entries " << report.evicted_entries << "\n"
               << "evicted_bytes " << report.evicted_bytes << "\n"
               << "live_entries " << report.live_entries << "\n"
@@ -921,13 +935,11 @@ int run_cache(int argc, char** argv) {
   }
 
   if (command == "clear") {
-    if (argc > 4) usage_error("cache clear takes no flags");
     std::cout << "removed " << manager->clear() << "\n";
     return 0;
   }
 
   if (command == "prewarm") {
-    if (argc > 4) usage_error("cache prewarm takes no flags");
     // Journal-driven: validates (and page-caches) every entry the replay
     // knows about, without a directory walk.
     const auto report = manager->prewarm();
@@ -938,54 +950,65 @@ int run_cache(int argc, char** argv) {
     return report.invalid == 0 ? 0 : 1;
   }
 
-  if (command == "checkpoint") {
-    if (argc > 4) usage_error("cache checkpoint takes no flags");
-    manager->checkpoint();
-    const auto* journal = manager->journal();
-    std::cout << "snapshot_records "
-              << (journal ? journal->snapshot_records() : 0) << "\n"
-              << "tail_records " << (journal ? journal->tail_records() : 0)
-              << "\n";
-    return 0;
-  }
+  // command == "checkpoint": kCacheCommands is exhaustive.
+  manager->checkpoint();
+  const auto* journal = manager->journal();
+  std::cout << "snapshot_records "
+            << (journal ? journal->snapshot_records() : 0) << "\n"
+            << "tail_records " << (journal ? journal->tail_records() : 0)
+            << "\n";
+  return 0;
+}
 
-  usage_error("unknown cache command " + command);
+FlagSet run_flags(Options& o) {
+  FlagSet flags("", "<algorithm>");
+  flags.str("--graph", "FILE", &o.graph_file)
+      .str("--gen", "SPEC", &o.gen_spec)
+      .uint("--seed", "S", &o.seed)
+      .real("--eps", "E", &o.eps)
+      .uint("--maxw", "W", &o.max_w, 1u << 30)
+      .str("--out", "FILE", &o.out_file);
+  return flags;
+}
+
+/// The no-argument usage: one line per subcommand, each generated from
+/// the same flag table its parser uses, so the two cannot drift.
+void print_usage() {
+  Options run;
+  BatchArgs batch;
+  SpoolArgs spool;
+  ListenArgs listen;
+  SubmitArgs submit;
+  LoadgenArgs loadgen;
+  CacheArgs cache;
+  std::vector<std::string> lines = {
+      run_flags(run).usage_line(),
+      batch_flags(batch).usage_line(),
+      spool_flags(spool).usage_line(),
+      listen_flags(listen).usage_line(),
+      submit_flags(submit).usage_line(),
+      "distapx_cli submit <path|host:port> {--ping | --stats | --shutdown}",
+      loadgen_flags(loadgen).usage_line()};
+  for (const char* command : kCacheCommands) {
+    lines.push_back(cache_flags(command, cache).usage_line());
+  }
+  const char* lead = "usage: ";
+  for (const std::string& line : lines) {
+    std::cout << lead << line << "\n";
+    lead = "       ";
+  }
+  std::cout << "algorithms:";
+  for (const std::string& name : service::algorithm_names()) {
+    std::cout << " " << name;
+  }
+  std::cout << "\ngen specs: " << gen::spec_usage() << "\n";
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) {
-    std::cout
-        << "usage: distapx_cli <algorithm> [--graph FILE | --gen SPEC] "
-           "[--seed S] [--eps E] [--maxw W] [--out FILE]\n"
-           "       distapx_cli batch <jobfile> [--threads N] [--cache DIR] "
-           "[--cache-budget SIZE] [--durability none|full] [--csv F] "
-           "[--json F] [--runs F] [--quiet]\n"
-           "       distapx_cli serve <spool-dir> [--cache-dir DIR] "
-           "[--cache-budget SIZE] [--threads N] [--poll-ms M] "
-           "[--max-files K] [--once] [--durability none|full] "
-           "[--admin ADDR] [--log-level LEVEL]\n"
-           "       distapx_cli serve --listen <path|host:port> "
-           "[--cache-dir DIR] [--cache-budget SIZE] [--journal PATH] "
-           "[--threads N] [--lanes N] [--max-requests K] "
-           "[--idle-timeout-ms M] [--max-frame SIZE] "
-           "[--no-remote-shutdown] [--durability none|full] [--admin ADDR] "
-           "[--log-level LEVEL]\n"
-           "       distapx_cli submit <path|host:port> <jobfile> "
-           "[--summary F] [--runs F] [--report F] "
-           "[--connect-timeout-ms M] [--quiet]\n"
-           "       distapx_cli submit <path|host:port> "
-           "{--ping | --stats | --shutdown}\n"
-           "       distapx_cli loadgen <path|host:port> <jobfile> "
-           "[--clients K] [--repeat R] [--pipeline P] "
-           "[--connect-timeout-ms M] [--quiet]\n"
-           "       distapx_cli cache <dir> {stats | ls [--limit N] | verify "
-           "[--quarantine|--delete] | gc --budget SIZE | clear | prewarm | "
-           "checkpoint}\n"
-           "algorithms: luby nmis maxis-alg2 maxis-alg3 mwm-lr mwm-lr-det "
-           "mcm-2eps mwm-2eps mcm-1eps proposal\n"
-           "gen specs: " << gen::spec_usage() << "\n";
+    print_usage();
     return 0;
   }
   if (std::string(argv[1]) == "batch") return run_batch(argc, argv);
@@ -995,41 +1018,31 @@ int main(int argc, char** argv) {
   if (std::string(argv[1]) == "cache") return run_cache(argc, argv);
   Options opt;
   opt.algorithm = argv[1];
-  FlagSet flags("", "<algorithm>");
-  flags.str("--graph", "FILE", &opt.graph_file)
-      .str("--gen", "SPEC", &opt.gen_spec)
-      .uint("--seed", "S", &opt.seed)
-      .real("--eps", "E", &opt.eps)
-      .uint("--maxw", "W", &opt.max_w, 1u << 30)
-      .str("--out", "FILE", &opt.out_file);
-  flags.parse(arg_rest(argc, argv, 2));
+  run_flags(opt).parse(arg_rest(argc, argv, 2));
 
-  Rng rng(hash_combine(opt.seed, 0xc11));
-  Graph g;
-  std::optional<EdgeWeights> loaded_ew;
-  if (!opt.graph_file.empty()) {
-    try {
-      auto loaded = io::load_edge_list(opt.graph_file);
-      g = std::move(loaded.graph);
-      loaded_ew = std::move(loaded.edge_weights);
-    } catch (const EnsureError& e) {
-      usage_error(e.what());
-    }
+  // The workload of a batch job with gseed = --seed: resolve_job derives
+  // the graph and weights, and rejects an unknown algorithm before it
+  // generates anything.
+  service::JobSpec spec;
+  spec.algorithm = opt.algorithm;
+  if (opt.graph_file.empty()) {
+    spec.gen_spec = opt.gen_spec;
   } else {
-    try {
-      g = gen::from_spec(opt.gen_spec, rng);
-    } catch (const gen::SpecError& e) {
-      usage_error(e.what());
-    }
+    spec.graph_file = opt.graph_file;
   }
+  spec.graph_seed = opt.seed;
+  spec.max_w = opt.max_w;
+  std::optional<service::ResolvedJob> job;
+  try {
+    job.emplace(service::resolve_job(std::move(spec)));
+  } catch (const std::exception& e) {
+    usage_error(e.what());
+  }
+  const Graph& g = job->graph;
+  const NodeWeights& nw = job->node_weights;
+  const EdgeWeights& ew = job->edge_weights;
   std::cout << "graph: n=" << g.num_nodes() << " m=" << g.num_edges()
             << " Δ=" << g.max_degree() << "\n";
-
-  const NodeWeights nw =
-      gen::uniform_node_weights(g.num_nodes(), opt.max_w, rng);
-  const EdgeWeights ew =
-      loaded_ew ? *loaded_ew
-                : gen::uniform_edge_weights(g.num_edges(), opt.max_w, rng);
 
   const std::string& a = opt.algorithm;
   try {
@@ -1066,7 +1079,7 @@ int main(int argc, char** argv) {
     std::cout << "matching size " << r.matching.size() << " weight "
               << matching_weight(ew, r.matching) << "\n";
     print_metrics(r.metrics);
-    write_edges(opt.out_file, r.matching);
+    write_ids(opt.out_file, r.matching);
   } else if (a == "mwm-lr-det") {
     const auto r = run_lr_matching_deterministic(g, ew);
     std::cout << "matching size " << r.matching.size() << " weight "
@@ -1076,7 +1089,7 @@ int main(int argc, char** argv) {
     print_metrics(r.coloring_metrics);
     std::cout << "  matching:";
     print_metrics(r.matching_metrics);
-    write_edges(opt.out_file, r.matching);
+    write_ids(opt.out_file, r.matching);
   } else if (a == "mcm-2eps") {
     Nmm2EpsParams p;
     p.epsilon = opt.eps;
@@ -1085,7 +1098,7 @@ int main(int argc, char** argv) {
               << r.super_rounds << " super-rounds, "
               << r.undecided_edges.size() << " undecided edges)\n";
     print_metrics(r.metrics);
-    write_edges(opt.out_file, r.matching);
+    write_ids(opt.out_file, r.matching);
   } else if (a == "mwm-2eps") {
     Weighted2EpsParams p;
     p.epsilon = opt.eps;
@@ -1093,7 +1106,7 @@ int main(int argc, char** argv) {
     std::cout << "matching size " << r.matching.size() << " weight "
               << matching_weight(ew, r.matching) << " ("
               << r.rounds_parallel << " parallel rounds)\n";
-    write_edges(opt.out_file, r.matching);
+    write_ids(opt.out_file, r.matching);
   } else if (a == "mcm-1eps") {
     McmCongestParams p;
     p.epsilon = opt.eps;
@@ -1101,14 +1114,14 @@ int main(int argc, char** argv) {
     std::cout << "matching size " << r.matching.size() << " over "
               << r.stages << " stages (" << r.deactivated.size()
               << " deactivated, ~" << r.rounds << " rounds)\n";
-    write_edges(opt.out_file, r.matching);
+    write_ids(opt.out_file, r.matching);
   } else if (a == "proposal") {
     ProposalParams p;
     p.epsilon = opt.eps;
     const auto r = run_proposal_matching(g, opt.seed, p);
     std::cout << "matching size " << r.matching.size() << "\n";
     print_metrics(r.metrics);
-    write_edges(opt.out_file, r.matching);
+    write_ids(opt.out_file, r.matching);
   } else {
     usage_error("unknown algorithm " + a);
   }
