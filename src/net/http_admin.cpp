@@ -1,22 +1,11 @@
 #include "net/http_admin.hpp"
 
-#include <poll.h>
-#include <sys/socket.h>
-
-#include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <list>
-#include <thread>
-#include <vector>
 
 #include "net/frame.hpp"
 #include "net/protocol.hpp"
 #include "service/result_cache.hpp"
-#include "support/assert.hpp"
-#include "support/log.hpp"
 #include "support/trace.hpp"
 
 namespace distapx::net {
@@ -38,13 +27,6 @@ std::string plain(int status, const char* reason, std::string_view body) {
   return http_response(status, reason, "text/plain; charset=utf-8", body);
 }
 
-std::uint64_t now_ms() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 std::string format_double(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%g", v);
@@ -64,10 +46,8 @@ std::string render_statusz(const metrics::Snapshot& snap,
       std::chrono::steady_clock::now() - ctx.start_time);
   out += "uptime_seconds: " +
          std::to_string(uptime.count() > 0 ? uptime.count() : 0) + '\n';
-  if (ctx.status_fields != nullptr) {
-    for (const auto& [key, value] : *ctx.status_fields) {
-      out += key + ": " + value + '\n';
-    }
+  for (const auto& [key, value] : ctx.status_fields) {
+    out += key + ": " + value + '\n';
   }
   out += '\n';
   const auto gauge_line = [&](const char* name) {
@@ -126,13 +106,6 @@ std::string render_vars(const metrics::Snapshot& snap) {
 }  // namespace
 
 std::string admin_handle_request(std::string_view request,
-                                 const metrics::Registry& registry) {
-  AdminContext ctx;
-  ctx.start_time = std::chrono::steady_clock::now();
-  return admin_handle_request(request, registry, ctx);
-}
-
-std::string admin_handle_request(std::string_view request,
                                  const metrics::Registry& registry,
                                  const AdminContext& ctx) {
   // Request line: METHOD SP TARGET SP VERSION. Only the first line
@@ -187,158 +160,17 @@ std::string admin_handle_request(std::string_view request,
   return plain(404, "Not Found", "not found\n");
 }
 
-struct AdminServer::Impl {
-  AdminOptions opts;
-  Listener listener;
-  fdio::Pipe wake;
-  std::thread thread;
-  std::atomic<bool> stopping{false};
-  bool started = false;
-
-  struct Conn {
-    fdio::Fd fd;
-    std::string in;       ///< request bytes until the blank line
-    std::string out;      ///< response bytes not yet written
-    std::size_t sent = 0;
-    bool responding = false;
-    std::uint64_t last_activity_ms = 0;
-  };
-  std::list<Conn> conns;
-  std::chrono::steady_clock::time_point start_time =
-      std::chrono::steady_clock::now();
-
-  explicit Impl(AdminOptions o)
-      : opts(std::move(o)),
-        listener(Listener::open(parse_endpoint(opts.endpoint))) {
-    DISTAPX_ENSURE_MSG(opts.registry != nullptr,
-                       "AdminServer requires a registry");
+std::optional<std::string> admin_reply(std::string_view received,
+                                       const metrics::Registry& registry,
+                                       const AdminContext& ctx) {
+  if (received.size() > kAdminMaxRequestBytes) {
+    return plain(400, "Bad Request", "request too large\n");
   }
-
-  [[nodiscard]] AdminContext context() const {
-    AdminContext ctx;
-    ctx.sink = opts.trace_sink;
-    ctx.status_fields = &opts.status_fields;
-    ctx.start_time = start_time;
-    return ctx;
+  if (received.find("\r\n\r\n") == std::string_view::npos &&
+      received.find("\n\n") == std::string_view::npos) {
+    return std::nullopt;
   }
-
-  void run() {
-    while (!stopping.load(std::memory_order_acquire)) {
-      std::vector<pollfd> pfds;
-      pfds.push_back({wake.read_fd(), POLLIN, 0});
-      pfds.push_back({listener.fd(), POLLIN, 0});
-      for (const Conn& c : conns) {
-        pfds.push_back({c.fd.get(),
-                        static_cast<short>(c.responding ? POLLOUT : POLLIN),
-                        0});
-      }
-      // Cap the wait so idle-connection reaping runs even with no events.
-      const int timeout =
-          conns.empty() ? -1 : static_cast<int>(opts.idle_timeout_ms);
-      if (::poll(pfds.data(), pfds.size(), timeout) < 0) {
-        if (errno == EINTR) continue;
-        logx::error("admin_poll_failed", {{"errno", errno}});
-        return;
-      }
-      if (pfds[0].revents != 0) wake.drain();
-
-      const std::uint64_t now = now_ms();
-      std::size_t i = 2;
-      for (auto it = conns.begin(); it != conns.end(); ++i) {
-        const short re = pfds[i].revents;
-        bool close = false;
-        if (re & (POLLERR | POLLHUP | POLLNVAL)) {
-          close = true;
-        } else if (re & POLLIN) {
-          close = !read_request(*it);
-          it->last_activity_ms = now;
-        } else if (re & POLLOUT) {
-          close = !write_response(*it);
-          it->last_activity_ms = now;
-        } else if (now - it->last_activity_ms > opts.idle_timeout_ms) {
-          close = true;
-        }
-        it = close ? conns.erase(it) : std::next(it);
-      }
-      // Only after the loop: pfds has no entries for new connections.
-      if (pfds[1].revents & POLLIN) accept_new();
-    }
-  }
-
-  void accept_new() {
-    for (;;) {
-      fdio::Fd fd = listener.accept_connection();
-      if (!fd.valid()) break;
-      Conn c;
-      c.fd = std::move(fd);
-      c.last_activity_ms = now_ms();
-      conns.push_back(std::move(c));
-    }
-  }
-
-  /// False when the connection should close. A complete request (blank
-  /// line seen) flips the conn to response mode.
-  bool read_request(Conn& c) {
-    char buf[2048];
-    for (;;) {
-      const ssize_t n = fdio::read_some(c.fd.get(), buf, sizeof buf);
-      if (n < 0) {
-        return errno == EAGAIN || errno == EWOULDBLOCK;
-      }
-      if (n == 0) return false;  // EOF before a full request
-      c.in.append(buf, static_cast<std::size_t>(n));
-      if (c.in.size() > opts.max_request_bytes) {
-        c.out = plain(400, "Bad Request", "request too large\n");
-        c.responding = true;
-        return true;
-      }
-      if (c.in.find("\r\n\r\n") != std::string::npos ||
-          c.in.find("\n\n") != std::string::npos) {
-        c.out = admin_handle_request(c.in, *opts.registry, context());
-        c.responding = true;
-        return true;
-      }
-    }
-  }
-
-  /// False when the connection should close (done or error). Nonblocking
-  /// fd, so loop until EAGAIN or completion.
-  bool write_response(Conn& c) {
-    while (c.sent < c.out.size()) {
-      const ssize_t n = ::send(c.fd.get(), c.out.data() + c.sent,
-                               c.out.size() - c.sent, MSG_NOSIGNAL);
-      if (n < 0) {
-        return errno == EAGAIN || errno == EWOULDBLOCK;
-      }
-      c.sent += static_cast<std::size_t>(n);
-    }
-    return false;  // fully written -> close (HTTP/1.0 semantics)
-  }
-};
-
-AdminServer::AdminServer(AdminOptions opts)
-    : impl_(std::make_unique<Impl>(std::move(opts))) {}
-
-AdminServer::~AdminServer() { stop(); }
-
-const Endpoint& AdminServer::endpoint() const noexcept {
-  return impl_->listener.endpoint();
-}
-
-void AdminServer::start() {
-  DISTAPX_ENSURE_MSG(!impl_->started, "AdminServer::start called twice");
-  impl_->started = true;
-  impl_->thread = std::thread([this] { impl_->run(); });
-  logx::info("admin_listening",
-             {{"endpoint", impl_->listener.endpoint().to_string()}});
-}
-
-void AdminServer::stop() {
-  if (!impl_->started) return;
-  if (!impl_->stopping.exchange(true, std::memory_order_acq_rel)) {
-    impl_->wake.poke();
-  }
-  if (impl_->thread.joinable()) impl_->thread.join();
+  return admin_handle_request(received, registry, ctx);
 }
 
 }  // namespace distapx::net

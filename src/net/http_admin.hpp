@@ -21,25 +21,27 @@
 //                cumulative and recent-window p50/p95/p99 — for scripts
 //                that don't want to parse Prometheus framing.
 //
-// The server runs one dedicated thread with its own poll(2) loop (the
-// same listener/self-pipe primitives as the socket server), so /metrics
-// stays scrapeable while every executor lane is busy — that is the point
-// of an admin plane. HTTP support is deliberately narrow: GET only,
-// request line + headers parsed just enough to route, 8 KiB request cap,
-// idle connections reaped. Anything unexpected gets a plain-status
-// response and the connection closed; this endpoint is for curl and
-// scrapers on a trusted interface, not browsers.
+// The admin plane has no thread or loop of its own: net::ConnLoop
+// (conn_loop.hpp) serves it as one more listener on the serving loop —
+// the socket server's I/O thread, or in spool mode a loop with only this
+// listener. Every route reads the registry's atomics, so /metrics stays
+// scrapeable while every executor lane is busy; that is the point of an
+// admin plane. HTTP support is deliberately narrow: GET only, request
+// line + headers parsed just enough to route, kAdminMaxRequestBytes per
+// request, idle connections reaped after kAdminIdleTimeoutMs. Anything
+// unexpected gets a plain-status response and the connection closed;
+// this endpoint is for curl and scrapers on a trusted interface, not
+// browsers.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-#include "net/socket.hpp"
 #include "support/metrics.hpp"
 
 namespace distapx::trace {
@@ -48,63 +50,34 @@ class TraceSink;
 
 namespace distapx::net {
 
-struct AdminOptions {
-  std::string endpoint;  ///< "HOST:PORT" (port 0 ok) or a Unix socket path
-  metrics::Registry* registry = nullptr;  ///< required; not owned
-  std::uint32_t max_request_bytes = 8192;
-  std::uint32_t idle_timeout_ms = 10000;
-  /// Trace retention to render on /tracez; null renders a placeholder.
-  const trace::TraceSink* trace_sink = nullptr;  ///< not owned
-  /// Static "key: value" facts for /statusz (lanes, cache dir, ...);
-  /// rendered in the order given.
-  std::vector<std::pair<std::string, std::string>> status_fields;
-};
+/// A request larger than this (with no blank line yet) gets a 400.
+inline constexpr std::size_t kAdminMaxRequestBytes = 8192;
+/// An admin connection that makes no progress this long is closed.
+inline constexpr std::uint32_t kAdminIdleTimeoutMs = 10'000;
 
-/// Everything admin_handle_request needs beyond the registry. The server
-/// builds one from its options; string-level tests build their own.
+/// Everything admin_handle_request needs beyond the registry. The serving
+/// loop's owner builds one; string-level tests build their own.
 struct AdminContext {
   const trace::TraceSink* sink = nullptr;
-  const std::vector<std::pair<std::string, std::string>>* status_fields =
-      nullptr;
+  /// Static "key: value" facts for /statusz, rendered in order.
+  std::vector<std::pair<std::string, std::string>> status_fields;
   std::chrono::steady_clock::time_point start_time{};  ///< for uptime
 };
 
-class AdminServer {
- public:
-  /// Binds the endpoint (throws NetError on failure) but serves nothing
-  /// until start().
-  explicit AdminServer(AdminOptions opts);
-  ~AdminServer();
-
-  AdminServer(const AdminServer&) = delete;
-  AdminServer& operator=(const AdminServer&) = delete;
-
-  /// The bound endpoint — for TCP port 0 this carries the real port.
-  [[nodiscard]] const Endpoint& endpoint() const noexcept;
-
-  /// Spawns the serving thread. Call at most once.
-  void start();
-  /// Wakes the loop, joins the thread, closes all connections. Idempotent;
-  /// also run by the destructor.
-  void stop();
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
-
-/// Routing + response formatting, factored out of the socket loop so the
-/// tests can drive it with plain strings. `request` is everything up to
+/// Routing + response formatting, kept apart from the loop so the tests
+/// can drive it with plain strings. `request` is everything up to
 /// (not necessarily including) the blank line; returns the full HTTP
 /// response bytes.
 std::string admin_handle_request(std::string_view request,
                                  const metrics::Registry& registry,
                                  const AdminContext& ctx);
 
-/// Context-free overload (kept for callers that only need /metrics and
-/// /healthz): /tracez reports no sink, /statusz shows zero uptime and no
-/// static fields.
-std::string admin_handle_request(std::string_view request,
-                                 const metrics::Registry& registry);
+/// The response owed to the bytes an admin connection has sent so far:
+/// nullopt while the request is incomplete (no blank line yet, within
+/// kAdminMaxRequestBytes), a 400 once it outgrows the cap, otherwise
+/// admin_handle_request's answer.
+std::optional<std::string> admin_reply(std::string_view received,
+                                       const metrics::Registry& registry,
+                                       const AdminContext& ctx);
 
 }  // namespace distapx::net

@@ -161,7 +161,8 @@ Listener::~Listener() {
   }
 }
 
-fdio::Fd Listener::accept_connection() {
+fdio::Fd Listener::accept_connection(int& err) {
+  err = 0;
   for (;;) {
     fdio::Fd conn(::accept4(fd_.get(), nullptr, nullptr,
                             SOCK_NONBLOCK | SOCK_CLOEXEC));
@@ -169,10 +170,10 @@ fdio::Fd Listener::accept_connection() {
     if (errno == EINTR) continue;
     // The peer can abort between the kernel queuing the connection and us
     // accepting it; that is its problem, not the accept loop's.
-    if (errno == EAGAIN || errno == EWOULDBLOCK || errno == ECONNABORTED) {
-      return fdio::Fd();
+    if (errno != EAGAIN && errno != EWOULDBLOCK && errno != ECONNABORTED) {
+      err = errno;
     }
-    throw_errno("accept on " + ep_.to_string());
+    return fdio::Fd();
   }
 }
 

@@ -62,9 +62,10 @@ class Listener {
 
   /// One nonblocking accept: a valid (nonblocking, cloexec) connection
   /// fd, or an invalid Fd when no connection is pending. Transient
-  /// per-connection failures (ECONNABORTED) read as "none pending";
-  /// hard failures throw NetError.
-  fdio::Fd accept_connection();
+  /// per-connection failures (ECONNABORTED) read as "none pending"; a
+  /// hard failure (EMFILE, ENFILE, ENOBUFS, ...) also returns an invalid
+  /// Fd and leaves its errno in `err`, which is 0 otherwise.
+  fdio::Fd accept_connection(int& err);
 
  private:
   Listener() = default;

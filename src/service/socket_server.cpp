@@ -1,20 +1,14 @@
 #include "service/socket_server.hpp"
 
-#include <errno.h>
-#include <poll.h>
-#include <sys/socket.h>
-
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <map>
 #include <mutex>
 #include <sstream>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "net/frame.hpp"
@@ -54,43 +48,6 @@ struct Completion {
   std::string error;          ///< when !ok
   std::shared_ptr<trace::Collector> tracer;  ///< carried through from the job
   bool want_trace = false;
-};
-
-/// One client connection's state machine.
-struct Conn {
-  fdio::Fd fd;
-  net::FrameReader reader;
-  std::string outbuf;  ///< encoded response frames awaiting the peer
-  std::size_t outoff = 0;
-  bool closing = false;   ///< flush outbuf, then close
-  bool read_eof = false;  ///< peer half-closed; responses may still flow
-  std::uint32_t inflight = 0;  ///< SUBMITs not yet answered on this conn
-  std::uint64_t next_submit_seq = 1;   ///< conn_seq for the next SUBMIT
-  std::uint64_t next_deliver_seq = 1;  ///< conn_seq owed to the peer next
-  /// Completions that finished ahead of their turn (lanes race); drained
-  /// into outbuf strictly in conn_seq order.
-  std::map<std::uint64_t, Completion> ready;
-  /// Reap deadline while mid-frame or flushing against a dead-weight
-  /// peer; Clock::time_point::max() = no deadline.
-  Clock::time_point deadline = Clock::time_point::max();
-  /// Cumulative bytes flushed to the peer over the conn's lifetime;
-  /// against it, each traced response records the flushed_total at which
-  /// its bytes are fully out — that is when its respond span closes and
-  /// its trace publishes. FIFO (responses leave in enqueue order).
-  std::uint64_t flushed_total = 0;
-  struct PendingFlush {
-    std::uint64_t target = 0;  ///< flushed_total at which the reply is out
-    std::shared_ptr<trace::Collector> tracer;
-    std::uint32_t respond_span = 0;
-  };
-  std::deque<PendingFlush> flush_watch;
-
-  explicit Conn(fdio::Fd f, std::size_t max_frame)
-      : fd(std::move(f)), reader(max_frame) {}
-
-  [[nodiscard]] bool has_output() const noexcept {
-    return outoff < outbuf.size();
-  }
 };
 
 /// The server's metric handles, resolved once from the registry at run()
@@ -146,18 +103,6 @@ struct Meters {
             {0, 1, 2, 4, 8, 16, 32, 64, 128, 256})) {}
 };
 
-/// Nonblocking send; returns bytes written (0 on EAGAIN), -1 on a dead
-/// peer. MSG_NOSIGNAL: a hung-up client must never SIGPIPE the server.
-ssize_t send_some(int fd, const char* data, std::size_t n) noexcept {
-  for (;;) {
-    const ssize_t w = ::send(fd, data, n, MSG_NOSIGNAL);
-    if (w >= 0) return w;
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return 0;
-    return -1;
-  }
-}
-
 unsigned effective_lanes(unsigned requested) {
   if (requested != 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
@@ -165,6 +110,548 @@ unsigned effective_lanes(unsigned requested) {
 }
 
 }  // namespace
+
+/// One run()'s state. The loop owns the sockets; this owns what their
+/// bytes mean: frame decoding, the lane scheduler, per-connection FIFO
+/// delivery, the trace flush watch, the journal and the drain.
+struct SocketServer::Run final : net::ConnLoop::Handler {
+  using Conn = net::ConnLoop::Conn;
+
+  /// One framed connection's protocol state, beside the loop's Conn.
+  struct Session {
+    Conn* conn;  ///< valid until on_close erases the session
+    net::FrameReader reader;
+    std::uint32_t inflight = 0;  ///< SUBMITs not yet answered on this conn
+    std::uint64_t next_submit_seq = 1;   ///< conn_seq for the next SUBMIT
+    std::uint64_t next_deliver_seq = 1;  ///< conn_seq owed to the peer next
+    /// Completions that finished ahead of their turn (lanes race); drained
+    /// into the output strictly in conn_seq order.
+    std::map<std::uint64_t, Completion> ready;
+    /// Each traced response records the conn's queued_total() at which
+    /// its bytes are fully out — that is when its respond span closes and
+    /// its trace publishes. FIFO (responses leave in enqueue order).
+    struct PendingFlush {
+      std::uint64_t target = 0;  ///< sent_total at which the reply is out
+      std::shared_ptr<trace::Collector> tracer;
+      std::uint32_t respond_span = 0;
+    };
+    std::deque<PendingFlush> flush_watch;
+
+    Session(Conn& c, std::size_t max_frame) : conn(&c), reader(max_frame) {}
+  };
+
+  SocketServer& srv;
+  const SocketServerOptions& opts;
+  Meters counters;
+  std::map<std::uint64_t, Session> sessions;
+  std::uint64_t inflight_total = 0;  ///< jobs enqueued, completion pending
+  bool draining = false;
+
+  // ---- lane scheduler ----------------------------------------------------
+  //
+  // Per-connection FIFO queues plus a round-robin ring of connection ids
+  // with pending work: a lane takes the front job of the front
+  // connection, then rotates that connection to the back of the ring if
+  // it still has work. One connection's jobs run in submit order *start*
+  // order (FIFO within the queue); across connections, a burst from one
+  // client costs everyone else at most one job's wait per lane.
+  std::mutex mu;
+  std::condition_variable cv;
+  std::map<std::uint64_t, std::deque<PendingJob>> pending;  // guarded by mu
+  std::deque<std::uint64_t> rr_ring;  // conn ids with pending work, each once
+  std::size_t queued = 0;             // guarded by mu
+  std::size_t executing = 0;          // guarded by mu
+  std::vector<Completion> completions;  // guarded by mu
+  bool lanes_exit = false;              // guarded by mu
+  std::vector<std::thread> lanes;
+
+  Run(SocketServer& server, unsigned lane_count)
+      : srv(server), opts(server.opts_), counters(*server.reg_) {
+    counters.lanes.set(lane_count);
+    lanes.reserve(lane_count);
+    for (unsigned lane = 0; lane < lane_count; ++lane) {
+      lanes.emplace_back([this] { lane_main(); });
+    }
+  }
+
+  // Joins the lanes on every exit path — including a poll() throw — so a
+  // NetError can propagate without std::thread::~thread terminating.
+  ~Run() override { stop_lanes(); }
+
+  void stop_lanes() {
+    {
+      std::lock_guard lock(mu);
+      lanes_exit = true;
+    }
+    cv.notify_all();
+    for (auto& t : lanes) t.join();
+    lanes.clear();
+  }
+
+  // Completes one trace: publishes it and emits the slow_job line when
+  // the job blew the --slow-ms budget.
+  void finalize_trace(trace::Collector& tr) const {
+    trace::finish_and_publish(tr, opts.trace_sink, opts.slow_ms);
+  }
+
+  // ---- lanes ---------------------------------------------------------------
+
+  Completion execute(PendingJob& job, std::uint32_t exec_span) {
+    Completion done;
+    done.conn_id = job.conn_id;
+    done.conn_seq = job.conn_seq;
+    done.submit_no = job.submit_no;
+    try {
+      // Parse and per-seed child spans (cache-lookup / compute /
+      // cache-store) hang off this lane's execute span.
+      JobRun run = run_job(job.payload,
+                           "submit-" + std::to_string(job.submit_no),
+                           {.threads = opts.threads,
+                            .cache = srv.cache(),
+                            .registry = srv.reg_,
+                            .trace = job.tracer.get(),
+                            .trace_parent = exec_span});
+      if (job.tracer) {
+        job.tracer->annotate(exec_span, "runs", run.result.total_runs);
+        job.tracer->annotate(exec_span, "cache_hits", run.result.cache_hits);
+      }
+      done.result = {std::move(run.rendered.summary_csv),
+                     std::move(run.rendered.runs_csv),
+                     std::move(run.rendered.report_txt)};
+      if (net::result_wire_size(done.result) > net::kMaxWirePayload) {
+        // Degrade to ERR rather than let encode_frame throw on the I/O
+        // thread: the rows exist, they just cannot ride a u32-framed
+        // RESULT (split the job file instead).
+        throw JobError("result of " +
+                       std::to_string(net::result_wire_size(done.result)) +
+                       " bytes exceeds the wire format's u32 frame limit; "
+                       "split the job file");
+      }
+      done.ok = true;
+    } catch (const std::exception& e) {
+      // Parse errors (line-numbered JobError), spec errors, and run-time
+      // failures (e.g. a CONGEST violation) all become this client's ERR
+      // payload; the server keeps serving.
+      done.ok = false;
+      done.error = e.what();
+    }
+    done.tracer = std::move(job.tracer);
+    done.want_trace = job.want_trace;
+    return done;
+  }
+
+  void lane_main() {
+    for (;;) {
+      PendingJob job;
+      {
+        std::unique_lock lock(mu);
+        cv.wait(lock, [&] { return !rr_ring.empty() || lanes_exit; });
+        if (rr_ring.empty()) return;  // lanes_exit and nothing left
+        const std::uint64_t id = rr_ring.front();
+        rr_ring.pop_front();
+        const auto it = pending.find(id);
+        job = std::move(it->second.front());
+        it->second.pop_front();
+        --queued;
+        counters.queue_depth.set(static_cast<std::int64_t>(queued));
+        if (it->second.empty()) {
+          pending.erase(it);
+        } else {
+          rr_ring.push_back(id);  // round-robin: back of the ring
+        }
+        ++executing;
+        counters.executing.set(static_cast<std::int64_t>(executing));
+      }
+      trace::Collector* const tr = job.tracer.get();
+      std::uint32_t exec_span = 0;
+      if (tr != nullptr) {
+        tr->end(job.queue_span);
+        exec_span = tr->begin("lane-execute");
+      }
+      const auto exec_start = Clock::now();
+      Completion done = execute(job, exec_span);
+      const auto exec_end = Clock::now();
+      if (tr != nullptr) {
+        if (!done.ok) tr->annotate(exec_span, "outcome", "error");
+        tr->end(exec_span);
+      }
+      counters.lane_busy_us.inc(static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(exec_end -
+                                                                exec_start)
+              .count()));
+      // Arrival-to-done, queue wait included: the latency a pipelining
+      // client actually experiences per submit.
+      counters.job_latency_ms.observe(
+          std::chrono::duration<double, std::milli>(exec_end - job.enqueued)
+              .count());
+      // Counted at completion, delivered or not — matching the
+      // pre-lane semantics where a reaped client's finished job still
+      // counted. The drop itself shows up in jobs_dropped.
+      (done.ok ? counters.results_ok : counters.results_error).inc();
+      // Retire the claim (ERR counts too: re-running a malformed job
+      // recovers nothing). The changelog's own mutex serializes this
+      // against the I/O thread's S appends.
+      if (srv.journal_) {
+        srv.journal_->append(
+            encode_record("R", std::to_string(done.submit_no)));
+      }
+      {
+        std::lock_guard lock(mu);
+        --executing;
+        counters.executing.set(static_cast<std::int64_t>(executing));
+        completions.push_back(std::move(done));
+      }
+      srv.loop_.wake();
+    }
+  }
+
+  // ---- I/O thread ----------------------------------------------------------
+
+  static void respond(Conn& c, net::FrameType type, std::string_view payload) {
+    c.out += net::encode_frame(type, payload);
+  }
+
+  void begin_drain() {
+    if (draining) return;
+    draining = true;
+    counters.draining.set(1);
+    logx::info("drain_begin", {});
+    srv.loop_.close_framed_listener();  // new connects are refused from here
+    for (auto& [id, s] : sessions) {
+      if (s.inflight == 0) s.conn->close();
+    }
+  }
+
+  void protocol_error(Conn& c, const std::string& what) {
+    counters.protocol_errors.inc();
+    logx::warn("protocol_error", {{"err", what}});
+    respond(c, net::FrameType::kError, "protocol error: " + what);
+    c.close();
+  }
+
+  void count_truncated_frame() {
+    counters.protocol_errors.inc();
+    counters.frame_errors.inc();
+  }
+
+  void handle_frame(Session& s, net::Frame& frame) {
+    Conn& c = *s.conn;
+    switch (frame.type) {
+      case net::FrameType::kHello: {
+        std::uint32_t version = 0;
+        std::string software;
+        if (!net::decode_hello(frame.payload, version, software)) {
+          protocol_error(c, "malformed HELLO payload");
+          return;
+        }
+        if (version != net::kProtocolVersion) {
+          respond(c, net::FrameType::kError,
+                  "unsupported protocol version " + std::to_string(version) +
+                      " (server speaks " +
+                      std::to_string(net::kProtocolVersion) + ")");
+          c.close();
+          return;
+        }
+        respond(c, net::FrameType::kHello, net::encode_hello());
+        return;
+      }
+      case net::FrameType::kPing:
+        counters.pings.inc();
+        respond(c, net::FrameType::kPong, {});
+        return;
+      case net::FrameType::kStatsReq:
+        respond(c, net::FrameType::kStats, srv.stats_text());
+        return;
+      case net::FrameType::kSubmit:
+      case net::FrameType::kSubmitTrace:
+        submit(s, frame);
+        return;
+      case net::FrameType::kShutdown:
+        if (!opts.allow_remote_shutdown) {
+          respond(c, net::FrameType::kError,
+                  "shutdown over the wire is disabled");
+          return;
+        }
+        respond(c, net::FrameType::kShutdown, {});
+        begin_drain();
+        // begin_drain skipped this conn if it has inflight work; without
+        // any it must still flush the ack before closing.
+        if (s.inflight == 0) c.close();
+        return;
+      case net::FrameType::kResult:
+      case net::FrameType::kResultTrace:
+      case net::FrameType::kError:
+      case net::FrameType::kPong:
+      case net::FrameType::kStats:
+        protocol_error(c, "server-to-client frame type from a client");
+        return;
+    }
+    protocol_error(c, "unknown frame type");
+  }
+
+  void submit(Session& s, net::Frame& frame) {
+    Conn& c = *s.conn;
+    const std::uint64_t conn_id = c.id;
+    const bool want_trace = frame.type == net::FrameType::kSubmitTrace;
+    if (draining) {
+      respond(c, net::FrameType::kError, "server is draining; submit rejected");
+      return;
+    }
+    // inc() returns the post-increment value: the counter itself is the
+    // submit-number sequence, no shadow variable.
+    const std::uint64_t submit_no = counters.submits_accepted.inc();
+    // The global gate covers the ambient always-on tracing; an explicit
+    // echo request overrides it for this one job.
+    std::shared_ptr<trace::Collector> tracer;
+    std::uint32_t recv_span = 0;
+    if (trace::enabled() || want_trace) {
+      tracer = std::make_shared<trace::Collector>(submit_no, "submit");
+      recv_span = tracer->begin("recv");
+      tracer->annotate(recv_span, "conn", conn_id);
+      tracer->annotate(recv_span, "bytes", frame.payload.size());
+    }
+    // The claim must be durable before the job can execute: once a lane
+    // may have stored partial cache entries, a crash must find the S
+    // record or recovery has nothing to finish. An append failure costs
+    // recoverability for this one job, nothing else.
+    if (srv.journal_ &&
+        !srv.journal_->append(encode_record("S", std::to_string(submit_no),
+                                            frame.payload))) {
+      logx::warn("socket_journal_append_failed",
+                 {{"no", submit_no}, {"trace", submit_no}});
+    }
+    ++s.inflight;
+    ++inflight_total;
+    const std::uint64_t conn_seq = s.next_submit_seq++;
+    std::uint32_t queue_span = 0;
+    if (tracer) {
+      tracer->end(recv_span);
+      queue_span = tracer->begin("queue-wait");
+    }
+    {
+      std::lock_guard lock(mu);
+      auto& q = pending[conn_id];
+      if (q.empty()) rr_ring.push_back(conn_id);
+      q.push_back(PendingJob{conn_id, conn_seq, submit_no,
+                             std::move(frame.payload), Clock::now(),
+                             std::move(tracer), queue_span, want_trace});
+      ++queued;
+      counters.queue_depth.set(static_cast<std::int64_t>(queued));
+      counters.queue_depth_at_submit.observe(static_cast<double>(queued));
+    }
+    logx::debug("submit",
+                {{"conn", conn_id}, {"no", submit_no}, {"trace", submit_no}});
+    cv.notify_one();
+    if (opts.max_requests != 0 && submit_no >= opts.max_requests) {
+      begin_drain();
+    }
+  }
+
+  void deliver_completions() {
+    std::vector<Completion> batch;
+    {
+      std::lock_guard lock(mu);
+      batch.swap(completions);
+    }
+    for (Completion& done : batch) {
+      --inflight_total;
+      const auto it = sessions.find(done.conn_id);
+      if (it == sessions.end()) {
+        // Client left while the job ran; nowhere to send the response.
+        counters.jobs_dropped.inc();
+        if (done.tracer) finalize_trace(*done.tracer);
+        continue;
+      }
+      Session& s = it->second;
+      Conn& c = *s.conn;
+      // Per-connection FIFO: park the completion, then release the head
+      // run — everything whose turn has come goes out in submit order,
+      // however the lanes raced.
+      s.ready.emplace(done.conn_seq, std::move(done));
+      while (!s.ready.empty() &&
+             s.ready.begin()->first == s.next_deliver_seq) {
+        Completion& head = s.ready.begin()->second;
+        std::shared_ptr<trace::Collector> tracer = std::move(head.tracer);
+        std::uint32_t respond_span = 0;
+        if (head.ok) {
+          std::string trace_txt;
+          if (head.want_trace && tracer) {
+            // Render before opening the respond span so the echoed tree
+            // is complete (the respond span itself cannot appear in the
+            // bytes that carry it).
+            trace_txt = trace::render_trace_tree(tracer->snapshot());
+          }
+          if (tracer) respond_span = tracer->begin("respond");
+          if (head.want_trace && tracer &&
+              net::result_trace_wire_size(head.result, trace_txt) <=
+                  net::kMaxWirePayload) {
+            respond(c, net::FrameType::kResultTrace,
+                    net::encode_result_trace(head.result, trace_txt));
+          } else if (head.want_trace) {
+            // Result near the frame cap: the echo would not fit. Fail the
+            // request rather than silently answering a SUBMITTRACE with a
+            // bare RESULT the client is not expecting.
+            respond(c, net::FrameType::kError,
+                    "result too large for trace echo; "
+                    "resubmit without --trace");
+          } else {
+            respond(c, net::FrameType::kResult,
+                    net::encode_result(head.result));
+          }
+        } else {
+          if (tracer) respond_span = tracer->begin("respond");
+          respond(c, net::FrameType::kError, head.error);
+        }
+        if (tracer) {
+          s.flush_watch.push_back(Session::PendingFlush{
+              c.queued_total(), std::move(tracer), respond_span});
+        }
+        s.ready.erase(s.ready.begin());
+        ++s.next_deliver_seq;
+        --s.inflight;
+      }
+      if ((draining || c.read_eof) && s.inflight == 0) c.close();
+    }
+  }
+
+  // ---- net::ConnLoop::Handler ---------------------------------------------
+
+  void on_open(Conn& c) override {
+    counters.connections_accepted.inc();
+    logx::debug("conn_accepted", {{"conn", c.id}});
+    sessions.emplace(c.id, Session(c, opts.max_frame_bytes));
+    counters.connections_open.set(static_cast<std::int64_t>(sessions.size()));
+  }
+
+  void on_data(Conn& c, std::string_view bytes) override {
+    Session& s = sessions.at(c.id);
+    counters.bytes_read.inc(bytes.size());
+    s.reader.feed(bytes.data(), bytes.size());
+    for (;;) {
+      net::Frame frame;
+      const net::FrameStatus status = s.reader.next(frame);
+      if (status == net::FrameStatus::kFrame) {
+        handle_frame(s, frame);
+        if (c.closing) break;
+        continue;
+      }
+      if (status == net::FrameStatus::kNeedMore) break;
+      counters.frame_errors.inc();  // decode-level: bad magic, oversize
+      protocol_error(c, net::frame_status_name(status));
+      break;
+    }
+    // A partially received frame puts the peer on the reap clock.
+    c.mid_request = s.reader.mid_frame();
+  }
+
+  // A frame half-sent at EOF is truncated for good. A clean half-close
+  // with nothing owed flushes what is queued, then closes; with work in
+  // flight, deliver_completions closes once the last response is out.
+  void on_eof(Conn& c) override {
+    const Session& s = sessions.at(c.id);
+    if (s.reader.mid_frame()) count_truncated_frame();
+    if (s.reader.mid_frame() || s.inflight == 0) c.close();
+  }
+
+  void on_sent(Conn& c, std::size_t n) override {
+    counters.bytes_written.inc(n);
+    // A respond span ends when its response bytes have actually left for
+    // the kernel, not when they were enqueued — so queue-behind time under
+    // pipelining is visible in the trace.
+    auto& watch = sessions.at(c.id).flush_watch;
+    while (!watch.empty() && watch.front().target <= c.sent_total) {
+      Session::PendingFlush fw = std::move(watch.front());
+      watch.pop_front();
+      if (fw.tracer) {
+        fw.tracer->end(fw.respond_span);
+        finalize_trace(*fw.tracer);
+      }
+    }
+  }
+
+  // Tears down a session that may still own queued/running/buffered work:
+  // queued jobs are discarded unexecuted (a dead conn_id must never cost
+  // lane time), buffered completions die with the conn, and a job already
+  // on a lane gets dropped at delivery instead.
+  void on_close(Conn& c, net::ConnLoop::CloseReason why) override {
+    const std::uint64_t id = c.id;
+    const auto it = sessions.find(id);
+    Session& s = it->second;
+    if (why == net::ConnLoop::CloseReason::kReset && s.reader.mid_frame()) {
+      count_truncated_frame();
+    } else if (why == net::ConnLoop::CloseReason::kTimeout) {
+      // Slow loris (stalled mid-frame) or a peer that never drains its
+      // responses: classified, counted, reaped.
+      counters.timeouts.inc();
+      logx::warn("conn_timeout", {{"conn", id}});
+      if (s.reader.mid_frame() && !c.closing) {
+        count_truncated_frame();
+        c.last_words(net::encode_frame(
+            net::FrameType::kError,
+            "protocol error: timeout waiting for the rest of a frame"));
+      }
+    }
+    std::size_t purged = 0;
+    std::vector<std::shared_ptr<trace::Collector>> orphaned;
+    {
+      std::lock_guard lock(mu);
+      const auto pit = pending.find(id);
+      if (pit != pending.end()) {
+        purged = pit->second.size();
+        queued -= purged;
+        counters.queue_depth.set(static_cast<std::int64_t>(queued));
+        for (PendingJob& pj : pit->second) {
+          if (pj.tracer) {
+            pj.tracer->annotate(pj.queue_span, "outcome", "conn-lost");
+            orphaned.push_back(std::move(pj.tracer));
+          }
+        }
+        pending.erase(pit);
+        rr_ring.erase(std::remove(rr_ring.begin(), rr_ring.end(), id),
+                      rr_ring.end());
+      }
+    }
+    // Publish outside the scheduler lock: the sink's slowest-K writer
+    // mutex and the slow_job log line have no business under mu.
+    for (const auto& tracer : orphaned) finalize_trace(*tracer);
+    for (Session::PendingFlush& fw : s.flush_watch) {
+      if (fw.tracer) {
+        fw.tracer->annotate(fw.respond_span, "outcome", "conn-lost");
+        fw.tracer->end(fw.respond_span);
+        finalize_trace(*fw.tracer);
+      }
+    }
+    for (auto& [seq, done] : s.ready) {
+      if (done.tracer) finalize_trace(*done.tracer);
+    }
+    const std::uint64_t dropped = purged + s.ready.size();
+    if (dropped > 0) {
+      counters.jobs_dropped.inc(dropped);
+      logx::warn("jobs_dropped", {{"conn", id}, {"count", dropped}});
+    }
+    inflight_total -= purged;
+    logx::debug("conn_closed", {{"conn", id}});
+    sessions.erase(it);
+    counters.connections_open.set(static_cast<std::int64_t>(sessions.size()));
+  }
+
+  void on_wake() override {
+    deliver_completions();
+    // Idle compaction: with nothing in flight every S has its R, so the
+    // whole tail is settled history — cut it to an empty snapshot. The
+    // journal's steady-state size is the in-flight window, not the
+    // server's lifetime submit count.
+    if (srv.journal_ && inflight_total == 0 &&
+        srv.journal_->tail_records() > 0) {
+      srv.journal_->snapshot({});
+    }
+    if (srv.loop_.stop_requested()) begin_drain();
+  }
+
+  bool done() override {
+    return draining && inflight_total == 0 && sessions.empty();
+  }
+};
 
 std::string SocketServer::stats_text() const {
   // cache_hits and computed are the shared ResultCache / BatchServer
@@ -245,691 +732,39 @@ SocketServer::SocketServer(SocketServerOptions opts)
     // must not replay twice.
     journal_->snapshot({});
   }
-  listener_ = net::Listener::open(opts_.endpoint);
-  ep_ = listener_->endpoint();
+  ep_ = loop_.listen_framed(net::Listener::open(opts_.endpoint),
+                            opts_.idle_timeout_ms);
+  if (opts_.admin_endpoint) {
+    const auto or_none = [](const std::string& v) {
+      return v.empty() ? std::string("(none)") : v;
+    };
+    net::AdminContext ctx{opts_.trace_sink,
+                          {{"mode", "socket"},
+                           {"endpoint", ep_.to_string()},
+                           {"lanes", std::to_string(opts_.lanes)},
+                           {"cache_dir", or_none(opts_.cache_dir)},
+                           {"journal", or_none(opts_.journal_path)}},
+                          Clock::now()};
+    ctx.status_fields.insert(ctx.status_fields.end(),
+                             opts_.admin_status_fields.begin(),
+                             opts_.admin_status_fields.end());
+    admin_ep_ = loop_.listen_admin(net::Listener::open(*opts_.admin_endpoint),
+                                   *reg_, std::move(ctx));
+  }
 }
 
 void SocketServer::run() {
-  const unsigned lane_count = effective_lanes(opts_.lanes);
-  Meters counters(*reg_);
-  counters.lanes.set(lane_count);
-  logx::info("server_listening", {{"endpoint", ep_.to_string()},
-                                  {"lanes", lane_count}});
-
-  std::map<std::uint64_t, Conn> conns;
-  std::uint64_t next_conn_id = 1;
-  std::uint64_t inflight_total = 0;  ///< jobs enqueued, completion pending
-  bool draining = false;
-
-  // ---- lane scheduler ----------------------------------------------------
-  //
-  // Per-connection FIFO queues plus a round-robin ring of connection ids
-  // with pending work: a lane takes the front job of the front
-  // connection, then rotates that connection to the back of the ring if
-  // it still has work. One connection's jobs run in submit order *start*
-  // order (FIFO within the queue); across connections, a burst from one
-  // client costs everyone else at most one job's wait per lane.
-  std::mutex mu;
-  std::condition_variable cv;
-  std::map<std::uint64_t, std::deque<PendingJob>> pending;  // guarded by mu
-  std::deque<std::uint64_t> rr_ring;  // conn ids with pending work, each once
-  std::size_t queued = 0;             // guarded by mu
-  std::size_t executing = 0;          // guarded by mu
-  std::vector<Completion> completions;  // guarded by mu
-  bool lanes_exit = false;              // guarded by mu
-
-  const auto execute = [this](PendingJob& job, std::uint32_t exec_span) {
-    Completion done;
-    done.conn_id = job.conn_id;
-    done.conn_seq = job.conn_seq;
-    done.submit_no = job.submit_no;
-    try {
-      // Parse and per-seed child spans (cache-lookup / compute /
-      // cache-store) hang off this lane's execute span.
-      JobRun run = run_job(job.payload,
-                           "submit-" + std::to_string(job.submit_no),
-                           {.threads = opts_.threads,
-                            .cache = cache(),
-                            .registry = reg_,
-                            .trace = job.tracer.get(),
-                            .trace_parent = exec_span});
-      if (job.tracer) {
-        job.tracer->annotate(exec_span, "runs", run.result.total_runs);
-        job.tracer->annotate(exec_span, "cache_hits", run.result.cache_hits);
-      }
-      done.result = {std::move(run.rendered.summary_csv),
-                     std::move(run.rendered.runs_csv),
-                     std::move(run.rendered.report_txt)};
-      if (net::result_wire_size(done.result) > net::kMaxWirePayload) {
-        // Degrade to ERR rather than let encode_frame throw on the I/O
-        // thread: the rows exist, they just cannot ride a u32-framed
-        // RESULT (split the job file instead).
-        throw JobError("result of " +
-                       std::to_string(net::result_wire_size(done.result)) +
-                       " bytes exceeds the wire format's u32 frame limit; "
-                       "split the job file");
-      }
-      done.ok = true;
-    } catch (const std::exception& e) {
-      // Parse errors (line-numbered JobError), spec errors, and run-time
-      // failures (e.g. a CONGEST violation) all become this client's ERR
-      // payload; the server keeps serving.
-      done.ok = false;
-      done.error = e.what();
-    }
-    done.tracer = std::move(job.tracer);
-    done.want_trace = job.want_trace;
-    return done;
-  };
-
-  // Completes one trace: publishes it and emits the slow_job line when
-  // the job blew the --slow-ms budget.
-  const auto finalize_trace = [this](trace::Collector& tr) {
-    trace::finish_and_publish(tr, opts_.trace_sink, opts_.slow_ms);
-  };
-
-  std::vector<std::thread> lanes;
-  lanes.reserve(lane_count);
-  for (unsigned lane = 0; lane < lane_count; ++lane) {
-    lanes.emplace_back([&] {
-      for (;;) {
-        PendingJob job;
-        {
-          std::unique_lock lock(mu);
-          cv.wait(lock, [&] { return !rr_ring.empty() || lanes_exit; });
-          if (rr_ring.empty()) return;  // lanes_exit and nothing left
-          const std::uint64_t id = rr_ring.front();
-          rr_ring.pop_front();
-          const auto it = pending.find(id);
-          job = std::move(it->second.front());
-          it->second.pop_front();
-          --queued;
-          counters.queue_depth.set(static_cast<std::int64_t>(queued));
-          if (it->second.empty()) {
-            pending.erase(it);
-          } else {
-            rr_ring.push_back(id);  // round-robin: back of the ring
-          }
-          ++executing;
-          counters.executing.set(static_cast<std::int64_t>(executing));
-        }
-        trace::Collector* const tr = job.tracer.get();
-        std::uint32_t exec_span = 0;
-        if (tr != nullptr) {
-          tr->end(job.queue_span);
-          exec_span = tr->begin("lane-execute");
-        }
-        const auto exec_start = Clock::now();
-        Completion done = execute(job, exec_span);
-        const auto exec_end = Clock::now();
-        if (tr != nullptr) {
-          if (!done.ok) tr->annotate(exec_span, "outcome", "error");
-          tr->end(exec_span);
-        }
-        counters.lane_busy_us.inc(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                exec_end - exec_start)
-                .count()));
-        // Arrival-to-done, queue wait included: the latency a pipelining
-        // client actually experiences per submit.
-        counters.job_latency_ms.observe(
-            std::chrono::duration<double, std::milli>(exec_end - job.enqueued)
-                .count());
-        // Counted at completion, delivered or not — matching the
-        // pre-lane semantics where a reaped client's finished job still
-        // counted. The drop itself shows up in jobs_dropped.
-        (done.ok ? counters.results_ok : counters.results_error).inc();
-        // Retire the claim (ERR counts too: re-running a malformed job
-        // recovers nothing). The changelog's own mutex serializes this
-        // against the I/O thread's S appends.
-        if (journal_) {
-          journal_->append(encode_record("R", std::to_string(done.submit_no)));
-        }
-        {
-          std::lock_guard lock(mu);
-          --executing;
-          counters.executing.set(static_cast<std::int64_t>(executing));
-          completions.push_back(std::move(done));
-        }
-        pipe_.poke();
-      }
-    });
-  }
-
-  // Join the lanes on every exit path — including a poll() throw — so a
-  // NetError can propagate without std::thread::~thread terminating.
-  struct LaneJoiner {
-    std::mutex& mu;
-    std::condition_variable& cv;
-    bool& lanes_exit;
-    std::vector<std::thread>& lanes;
-    ~LaneJoiner() {
-      {
-        std::lock_guard lock(mu);
-        lanes_exit = true;
-      }
-      cv.notify_all();
-      for (auto& t : lanes) t.join();
-    }
-  } lane_joiner{mu, cv, lanes_exit, lanes};
-
-  // ---- I/O-thread helpers ------------------------------------------------
-
-  const auto enqueue_response = [&](Conn& conn, net::FrameType type,
-                                    std::string_view payload) {
-    conn.outbuf.append(net::encode_frame(type, payload));
-  };
-
-  // Close-after-flush, with a reap deadline so a peer that never reads
-  // cannot pin the connection (or wedge a drain) forever.
-  const auto begin_close = [&](Conn& conn) {
-    conn.closing = true;
-    if (conn.has_output() && opts_.idle_timeout_ms != 0) {
-      conn.deadline = Clock::now() +
-                      std::chrono::milliseconds(opts_.idle_timeout_ms);
-    }
-  };
-
-  // Tears down a connection that may still own queued/running/buffered
-  // work: queued jobs are discarded unexecuted (a dead conn_id must
-  // never cost lane time), buffered completions die with the conn, and a
-  // job already on a lane gets dropped at delivery instead. Every
-  // erase of `conns` goes through here.
-  const auto erase_conn = [&](std::map<std::uint64_t, Conn>::iterator it) {
-    const std::uint64_t id = it->first;
-    std::size_t purged = 0;
-    std::vector<std::shared_ptr<trace::Collector>> orphaned;
-    {
-      std::lock_guard lock(mu);
-      const auto pit = pending.find(id);
-      if (pit != pending.end()) {
-        purged = pit->second.size();
-        queued -= purged;
-        counters.queue_depth.set(static_cast<std::int64_t>(queued));
-        for (PendingJob& pj : pit->second) {
-          if (pj.tracer) {
-            pj.tracer->annotate(pj.queue_span, "outcome", "conn-lost");
-            orphaned.push_back(std::move(pj.tracer));
-          }
-        }
-        pending.erase(pit);
-        rr_ring.erase(std::remove(rr_ring.begin(), rr_ring.end(), id),
-                      rr_ring.end());
-      }
-    }
-    // Publish outside the scheduler lock: the sink's slowest-K writer
-    // mutex and the slow_job log line have no business under mu.
-    for (const auto& tracer : orphaned) finalize_trace(*tracer);
-    for (Conn::PendingFlush& fw : it->second.flush_watch) {
-      if (fw.tracer) {
-        fw.tracer->annotate(fw.respond_span, "outcome", "conn-lost");
-        fw.tracer->end(fw.respond_span);
-        finalize_trace(*fw.tracer);
-      }
-    }
-    for (auto& [seq, done] : it->second.ready) {
-      if (done.tracer) finalize_trace(*done.tracer);
-    }
-    const std::uint64_t dropped = purged + it->second.ready.size();
-    if (dropped > 0) {
-      counters.jobs_dropped.inc(dropped);
-      logx::warn("jobs_dropped", {{"conn", id}, {"count", dropped}});
-    }
-    inflight_total -= purged;
-    logx::debug("conn_closed", {{"conn", id}});
-    const auto next = conns.erase(it);
-    counters.connections_open.set(static_cast<std::int64_t>(conns.size()));
-    return next;
-  };
-
-  const auto begin_drain = [&] {
-    if (draining) return;
-    draining = true;
-    counters.draining.set(1);
-    logx::info("drain_begin", {});
-    listener_.reset();  // new connects are refused from here on
-    for (auto& [id, conn] : conns) {
-      if (conn.inflight == 0) begin_close(conn);
-    }
-  };
-
-  const auto protocol_error = [&](Conn& conn, const std::string& what) {
-    counters.protocol_errors.inc();
-    logx::warn("protocol_error", {{"err", what}});
-    enqueue_response(conn, net::FrameType::kError, "protocol error: " + what);
-    begin_close(conn);
-  };
-
-  const auto handle_frame = [&](std::uint64_t conn_id, Conn& conn,
-                                net::Frame& frame) {
-    switch (frame.type) {
-      case net::FrameType::kHello: {
-        std::uint32_t version = 0;
-        std::string software;
-        if (!net::decode_hello(frame.payload, version, software)) {
-          protocol_error(conn, "malformed HELLO payload");
-          return;
-        }
-        if (version != net::kProtocolVersion) {
-          enqueue_response(conn, net::FrameType::kError,
-                           "unsupported protocol version " +
-                               std::to_string(version) + " (server speaks " +
-                               std::to_string(net::kProtocolVersion) + ")");
-          begin_close(conn);
-          return;
-        }
-        enqueue_response(conn, net::FrameType::kHello, net::encode_hello());
-        return;
-      }
-      case net::FrameType::kPing:
-        counters.pings.inc();
-        enqueue_response(conn, net::FrameType::kPong, {});
-        return;
-      case net::FrameType::kStatsReq:
-        enqueue_response(conn, net::FrameType::kStats, stats_text());
-        return;
-      case net::FrameType::kSubmit:
-      case net::FrameType::kSubmitTrace: {
-        const bool want_trace = frame.type == net::FrameType::kSubmitTrace;
-        if (draining) {
-          enqueue_response(conn, net::FrameType::kError,
-                           "server is draining; submit rejected");
-          return;
-        }
-        // inc() returns the post-increment value: the counter itself is
-        // the submit-number sequence, no shadow variable.
-        const std::uint64_t submit_no = counters.submits_accepted.inc();
-        // The global gate covers the ambient always-on tracing; an
-        // explicit echo request overrides it for this one job.
-        std::shared_ptr<trace::Collector> tracer;
-        std::uint32_t recv_span = 0;
-        if (trace::enabled() || want_trace) {
-          tracer = std::make_shared<trace::Collector>(submit_no, "submit");
-          recv_span = tracer->begin("recv");
-          tracer->annotate(recv_span, "conn", conn_id);
-          tracer->annotate(recv_span, "bytes", frame.payload.size());
-        }
-        // The claim must be durable before the job can execute: once a
-        // lane may have stored partial cache entries, a crash must find
-        // the S record or recovery has nothing to finish. An append
-        // failure costs recoverability for this one job, nothing else.
-        if (journal_ &&
-            !journal_->append(encode_record("S", std::to_string(submit_no),
-                                            frame.payload))) {
-          logx::warn("socket_journal_append_failed",
-                     {{"no", submit_no}, {"trace", submit_no}});
-        }
-        ++conn.inflight;
-        ++inflight_total;
-        const std::uint64_t conn_seq = conn.next_submit_seq++;
-        std::uint32_t queue_span = 0;
-        if (tracer) {
-          tracer->end(recv_span);
-          queue_span = tracer->begin("queue-wait");
-        }
-        {
-          std::lock_guard lock(mu);
-          auto& q = pending[conn_id];
-          if (q.empty()) rr_ring.push_back(conn_id);
-          q.push_back(PendingJob{conn_id, conn_seq, submit_no,
-                                 std::move(frame.payload), Clock::now(),
-                                 std::move(tracer), queue_span, want_trace});
-          ++queued;
-          counters.queue_depth.set(static_cast<std::int64_t>(queued));
-          counters.queue_depth_at_submit.observe(
-              static_cast<double>(queued));
-        }
-        logx::debug("submit", {{"conn", conn_id},
-                               {"no", submit_no},
-                               {"trace", submit_no}});
-        cv.notify_one();
-        if (opts_.max_requests != 0 && submit_no >= opts_.max_requests) {
-          begin_drain();
-        }
-        return;
-      }
-      case net::FrameType::kShutdown:
-        if (!opts_.allow_remote_shutdown) {
-          enqueue_response(conn, net::FrameType::kError,
-                           "shutdown over the wire is disabled");
-          return;
-        }
-        enqueue_response(conn, net::FrameType::kShutdown, {});
-        begin_drain();
-        // begin_drain skipped this conn if it has inflight work; without
-        // any it must still flush the ack before closing.
-        if (conn.inflight == 0) begin_close(conn);
-        return;
-      case net::FrameType::kResult:
-      case net::FrameType::kResultTrace:
-      case net::FrameType::kError:
-      case net::FrameType::kPong:
-      case net::FrameType::kStats:
-        protocol_error(conn, "server-to-client frame type from a client");
-        return;
-    }
-    protocol_error(conn, "unknown frame type");
-  };
-
-  const auto read_from = [&](std::uint64_t conn_id, Conn& conn) {
-    // Returns false when the conn was torn down and must be erased.
-    char buf[64 * 1024];
-    for (;;) {
-      const ssize_t r = fdio::read_some(conn.fd.get(), buf, sizeof buf);
-      if (r < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-        if (conn.reader.mid_frame()) {
-          counters.protocol_errors.inc();
-          counters.frame_errors.inc();
-        }
-        return false;  // reset underneath us
-      }
-      if (r == 0) {
-        conn.read_eof = true;
-        if (conn.reader.mid_frame()) {
-          // Truncated frame: the peer hung up with a frame half-sent.
-          counters.protocol_errors.inc();
-          counters.frame_errors.inc();
-          return false;
-        }
-        // Clean half-close: finish in-flight work and flush responses
-        // (deliver_completions closes once inflight hits zero), then
-        // close.
-        if (conn.inflight == 0) {
-          if (!conn.has_output()) return false;
-          begin_close(conn);
-        }
-        break;
-      }
-      counters.bytes_read.inc(static_cast<std::uint64_t>(r));
-      conn.reader.feed(buf, static_cast<std::size_t>(r));
-      for (;;) {
-        net::Frame frame;
-        const net::FrameStatus status = conn.reader.next(frame);
-        if (status == net::FrameStatus::kFrame) {
-          handle_frame(conn_id, conn, frame);
-          if (conn.closing) break;
-          continue;
-        }
-        if (status == net::FrameStatus::kNeedMore) break;
-        counters.frame_errors.inc();  // decode-level: bad magic, oversize
-        protocol_error(conn, net::frame_status_name(status));
-        break;
-      }
-      if (conn.closing) break;
-      if (r < static_cast<ssize_t>(sizeof buf)) break;  // drained the socket
-    }
-    // Arm / disarm the slow-loris deadline: a partially received frame
-    // puts the peer on the clock.
-    if (!conn.closing && opts_.idle_timeout_ms != 0) {
-      conn.deadline = conn.reader.mid_frame()
-                          ? Clock::now() + std::chrono::milliseconds(
-                                               opts_.idle_timeout_ms)
-                          : Clock::time_point::max();
-    }
-    return true;
-  };
-
-  const auto write_to = [&](Conn& conn) {
-    // Returns false when the conn must be erased (peer gone, or flushed
-    // and closing).
-    while (conn.has_output()) {
-      const ssize_t w = send_some(conn.fd.get(), conn.outbuf.data() + conn.outoff,
-                                  conn.outbuf.size() - conn.outoff);
-      if (w < 0) return false;
-      if (w > 0) {
-        counters.bytes_written.inc(static_cast<std::uint64_t>(w));
-        conn.flushed_total += static_cast<std::uint64_t>(w);
-        // A respond span ends when its response bytes have actually left
-        // for the kernel, not when they were enqueued — so queue-behind
-        // time under pipelining is visible in the trace.
-        while (!conn.flush_watch.empty() &&
-               conn.flush_watch.front().target <= conn.flushed_total) {
-          Conn::PendingFlush fw = std::move(conn.flush_watch.front());
-          conn.flush_watch.pop_front();
-          if (fw.tracer) {
-            fw.tracer->end(fw.respond_span);
-            finalize_trace(*fw.tracer);
-          }
-        }
-      }
-      if (w > 0 && opts_.idle_timeout_ms != 0) {
-        // Progress resets the reap clock: only a peer *refusing* to read
-        // its responses runs it out, not a slow one.
-        conn.deadline =
-            Clock::now() + std::chrono::milliseconds(opts_.idle_timeout_ms);
-      }
-      if (w == 0) return true;  // kernel buffer full; poll for POLLOUT
-      conn.outoff += static_cast<std::size_t>(w);
-    }
-    conn.outbuf.clear();
-    conn.outoff = 0;
-    if (conn.closing) return false;
-    if (opts_.idle_timeout_ms != 0 && !conn.reader.mid_frame()) {
-      conn.deadline = Clock::time_point::max();
-    }
-    return true;
-  };
-
-  const auto deliver_completions = [&] {
-    std::vector<Completion> batch;
-    {
-      std::lock_guard lock(mu);
-      batch.swap(completions);
-    }
-    for (Completion& done : batch) {
-      --inflight_total;
-      const auto it = conns.find(done.conn_id);
-      if (it == conns.end()) {
-        // Client left while the job ran; nowhere to send the response.
-        counters.jobs_dropped.inc();
-        if (done.tracer) finalize_trace(*done.tracer);
-        continue;
-      }
-      Conn& conn = it->second;
-      // Per-connection FIFO: park the completion, then release the head
-      // run — everything whose turn has come goes out in submit order,
-      // however the lanes raced.
-      conn.ready.emplace(done.conn_seq, std::move(done));
-      while (!conn.ready.empty() &&
-             conn.ready.begin()->first == conn.next_deliver_seq) {
-        Completion& head = conn.ready.begin()->second;
-        std::shared_ptr<trace::Collector> tracer = std::move(head.tracer);
-        std::uint32_t respond_span = 0;
-        if (head.ok) {
-          std::string trace_txt;
-          if (head.want_trace && tracer) {
-            // Render before opening the respond span so the echoed tree
-            // is complete (the respond span itself cannot appear in the
-            // bytes that carry it).
-            trace_txt = trace::render_trace_tree(tracer->snapshot());
-          }
-          if (tracer) respond_span = tracer->begin("respond");
-          if (head.want_trace && tracer &&
-              net::result_trace_wire_size(head.result, trace_txt) <=
-                  net::kMaxWirePayload) {
-            enqueue_response(conn, net::FrameType::kResultTrace,
-                             net::encode_result_trace(head.result,
-                                                      trace_txt));
-          } else if (head.want_trace) {
-            // Result near the frame cap: the echo would not fit. Fail the
-            // request rather than silently answering a SUBMITTRACE with a
-            // bare RESULT the client is not expecting.
-            enqueue_response(conn, net::FrameType::kError,
-                             "result too large for trace echo; "
-                             "resubmit without --trace");
-          } else {
-            enqueue_response(conn, net::FrameType::kResult,
-                             net::encode_result(head.result));
-          }
-        } else {
-          if (tracer) respond_span = tracer->begin("respond");
-          enqueue_response(conn, net::FrameType::kError, head.error);
-        }
-        if (tracer) {
-          conn.flush_watch.push_back(Conn::PendingFlush{
-              conn.flushed_total + (conn.outbuf.size() - conn.outoff),
-              std::move(tracer), respond_span});
-        }
-        conn.ready.erase(conn.ready.begin());
-        ++conn.next_deliver_seq;
-        --conn.inflight;
-      }
-      if ((draining || conn.read_eof) && conn.inflight == 0) {
-        begin_close(conn);
-      }
-    }
-  };
-
-  // ---- the poll loop -----------------------------------------------------
-
-  std::vector<pollfd> pfds;
-  std::vector<std::uint64_t> pfd_conn;  // conn id per pollfd (0 = not a conn)
-  counters.ready.set(1);  // /healthz flips to "ok" here
-  for (;;) {
-    if (stop_.load()) begin_drain();
-    // Closing connections with nothing left to flush are done; sweeping
-    // here (not just in the event handlers) catches the ones begin_drain
-    // marked, so a drain with idle clients cannot park in poll forever.
-    for (auto it = conns.begin(); it != conns.end();) {
-      if (it->second.closing && !it->second.has_output()) {
-        it = erase_conn(it);
-      } else {
-        ++it;
-      }
-    }
-    if (draining && inflight_total == 0 && conns.empty()) break;
-
-    pfds.clear();
-    pfd_conn.clear();
-    pfds.push_back({pipe_.read_fd(), POLLIN, 0});
-    pfd_conn.push_back(0);
-    if (listener_) {
-      pfds.push_back({listener_->fd(), POLLIN, 0});
-      pfd_conn.push_back(0);
-    }
-    const std::size_t first_conn_pfd = pfds.size();
-    Clock::time_point nearest = Clock::time_point::max();
-    for (auto& [id, conn] : conns) {
-      short events = 0;
-      if (!conn.closing && !conn.read_eof) events |= POLLIN;
-      if (conn.has_output()) {
-        events |= POLLOUT;
-        // Undelivered responses put the peer on the reap clock too (not
-        // just mid-frame stalls): a client that submits but never reads
-        // must not pin the connection — or its ever-growing outbuf —
-        // forever. write_to pushes the deadline on every flush progress.
-        if (opts_.idle_timeout_ms != 0 &&
-            conn.deadline == Clock::time_point::max()) {
-          conn.deadline = Clock::now() +
-                          std::chrono::milliseconds(opts_.idle_timeout_ms);
-        }
-      }
-      pfds.push_back({conn.fd.get(), events, 0});
-      pfd_conn.push_back(id);
-      if (conn.deadline < nearest) nearest = conn.deadline;
-    }
-
-    int timeout_ms = -1;
-    if (nearest != Clock::time_point::max()) {
-      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                            nearest - Clock::now())
-                            .count();
-      timeout_ms = left < 0 ? 0 : static_cast<int>(left) + 1;
-    }
-    const int ready = ::poll(pfds.data(), pfds.size(), timeout_ms);
-    if (ready < 0 && errno != EINTR) {
-      throw net::NetError(std::string("poll: ") + std::strerror(errno));
-    }
-
-    if (pfds[0].revents & POLLIN) pipe_.drain();
-    deliver_completions();
-    // Idle compaction: with nothing in flight every S has its R, so the
-    // whole tail is settled history — cut it to an empty snapshot. The
-    // journal's steady-state size is the in-flight window, not the
-    // server's lifetime submit count.
-    if (journal_ && inflight_total == 0 && journal_->tail_records() > 0) {
-      journal_->snapshot({});
-    }
-    if (stop_.load()) begin_drain();
-
-    if (listener_ && !draining) {
-      // The listener pollfd position is fixed (index 1) while listening.
-      if (pfds.size() > 1 && pfd_conn[1] == 0 && pfds[1].fd == listener_->fd() &&
-          (pfds[1].revents & POLLIN)) {
-        for (;;) {
-          fdio::Fd accepted = listener_->accept_connection();
-          if (!accepted) break;
-          counters.connections_accepted.inc();
-          logx::debug("conn_accepted", {{"conn", next_conn_id}});
-          conns.emplace(next_conn_id++,
-                        Conn(std::move(accepted), opts_.max_frame_bytes));
-          counters.connections_open.set(
-              static_cast<std::int64_t>(conns.size()));
-        }
-      }
-    }
-
-    for (std::size_t i = first_conn_pfd; i < pfds.size(); ++i) {
-      const std::uint64_t id = pfd_conn[i];
-      const auto it = conns.find(id);
-      if (it == conns.end()) continue;
-      Conn& conn = it->second;
-      bool alive = true;
-      if (alive && (pfds[i].revents & POLLIN) && !conn.closing) {
-        alive = read_from(id, conn);
-      }
-      if (alive && (pfds[i].revents & POLLOUT)) {
-        alive = write_to(conn);
-      }
-      // A response enqueued by this very iteration (e.g. PONG) often fits
-      // the socket buffer; write eagerly instead of waiting a poll cycle.
-      if (alive && conn.has_output() && !(pfds[i].revents & POLLOUT)) {
-        alive = write_to(conn);
-      }
-      if (alive &&
-          (pfds[i].revents & (POLLERR | POLLHUP | POLLNVAL)) &&
-          !(pfds[i].revents & POLLIN)) {
-        if (conn.reader.mid_frame()) {
-          counters.protocol_errors.inc();
-          counters.frame_errors.inc();
-        }
-        alive = false;
-      }
-      if (alive && conn.deadline != Clock::time_point::max() &&
-          Clock::now() >= conn.deadline) {
-        // Slow loris (stalled mid-frame) or a closing peer that never
-        // drains its responses: classified, counted, reaped.
-        counters.timeouts.inc();
-        logx::warn("conn_timeout", {{"conn", id}});
-        if (conn.reader.mid_frame() && !conn.closing) {
-          counters.protocol_errors.inc();
-          counters.frame_errors.inc();
-          // Courtesy diagnostic — but only onto an empty output buffer:
-          // injecting it after a partially flushed frame would corrupt
-          // the peer's byte stream.
-          if (!conn.has_output()) {
-            const std::string err = net::encode_frame(
-                net::FrameType::kError,
-                "protocol error: timeout waiting for the rest of a frame");
-            (void)send_some(conn.fd.get(), err.data(), err.size());
-          }
-        }
-        alive = false;
-      }
-      if (!alive) erase_conn(it);
-    }
-  }
-
-  {
-    std::lock_guard lock(mu);
-    lanes_exit = true;
-  }
-  cv.notify_all();
-  for (auto& t : lanes) t.join();
-  lanes.clear();  // the joiner must not join twice
-  deliver_completions();  // completions raced with the drain; drop-count them
-  counters.ready.set(0);
+  Run state(*this, effective_lanes(opts_.lanes));
+  logx::info("server_listening",
+             {{"endpoint", ep_.to_string()},
+              {"lanes", static_cast<unsigned>(state.lanes.size())}});
+  state.counters.ready.set(1);  // /healthz flips to "ok" here
+  loop_.run(&state);
+  state.stop_lanes();
+  // Completions that raced with the drain have no session left: this
+  // counts them as dropped.
+  state.deliver_completions();
+  state.counters.ready.set(0);
   logx::info("server_stopped", {});
 }
 

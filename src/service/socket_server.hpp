@@ -9,12 +9,14 @@
 // would have written (summary CSV, runs CSV, report text) in a RESULT
 // frame.
 //
-// Architecture: one I/O thread (the caller of run()) multiplexes the
-// listener, a self-pipe, and every client connection through poll(2),
-// with a per-connection frame-decoding state machine; N executor lanes
-// (`lanes`) pull submitted job files from per-connection FIFO queues and
-// run each through run_job (report_sink.hpp) on a cache-backed
-// BatchServer whose worker pool (`threads`) is shared by all clients.
+// Architecture: one I/O thread (the caller of run()) drives a
+// net::ConnLoop, which owns the sockets — listener, self-pipe, client
+// connections and, with admin_endpoint set, the HTTP admin listener it
+// serves itself. The server owns frame decoding, per-connection FIFO
+// delivery and the journal; N executor lanes (`lanes`) pull submitted
+// job files from per-connection FIFO queues and run each through run_job
+// (report_sink.hpp) on a cache-backed BatchServer whose worker pool
+// (`threads`) is shared by all clients.
 //
 // Scheduling is fair, not globally FIFO: lanes pick the next job
 // round-robin across connections, so a client pipelining a burst of
@@ -46,7 +48,9 @@
 // write), a SHUTDOWN frame from a client (unless disabled), or
 // max_requests. All three drain gracefully: stop accepting, finish
 // queued jobs, flush responses (bounded by idle_timeout_ms for peers
-// that stop reading), then return from run().
+// that stop reading), then return from run(). The admin listener stays
+// open until run() returns, so /healthz answers `503 draining` during a
+// drain; admin connections never hold a drain open.
 //
 // Crash recovery (opt-in via journal_path): every accepted SUBMIT is
 // journaled durably (`S no payload`, the raw job-file bytes, in the
@@ -61,15 +65,16 @@
 // idle, so it holds in-flight work only, never history.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "net/conn_loop.hpp"
 #include "net/socket.hpp"
 #include "service/result_cache.hpp"
 #include "support/changelog.hpp"
-#include "support/fdio.hpp"
 #include "support/metrics.hpp"
 #include "support/trace.hpp"
 
@@ -128,12 +133,18 @@ struct SocketServerOptions {
   /// one rate-limited `event=slow_job` log line carrying the flattened
   /// span breakdown. 0 = disabled (the default).
   std::uint32_t slow_ms = 0;
+  /// Where to serve the HTTP admin plane (net/http_admin.hpp), on the
+  /// I/O thread; unset = none.
+  std::optional<net::Endpoint> admin_endpoint;
+  /// GET /statusz lines after the server's own (mode, endpoint, lanes,
+  /// cache_dir, journal), in order.
+  std::vector<std::pair<std::string, std::string>> admin_status_fields;
 };
 
 class SocketServer {
  public:
-  /// Opens the listener (and the cache, when configured) immediately, so
-  /// a bad endpoint or cache dir fails here, not mid-serve. Throws
+  /// Opens the listeners (and the cache, when configured) immediately,
+  /// so a bad endpoint or cache dir fails here, not mid-serve. Throws
   /// net::NetError / JobError.
   explicit SocketServer(SocketServerOptions opts);
 
@@ -149,14 +160,18 @@ class SocketServer {
   [[nodiscard]] std::string stats_text() const;
 
   /// Safe from other threads and from signal handlers.
-  void request_stop() noexcept {
-    stop_.store(true);
-    pipe_.poke();
-  }
+  void request_stop() noexcept { loop_.request_stop(); }
 
-  [[nodiscard]] bool stop_requested() const noexcept { return stop_.load(); }
+  [[nodiscard]] bool stop_requested() const noexcept {
+    return loop_.stop_requested();
+  }
   /// The bound endpoint (ephemeral TCP port resolved).
   [[nodiscard]] const net::Endpoint& endpoint() const noexcept { return ep_; }
+  /// The bound admin endpoint; unset without options().admin_endpoint.
+  [[nodiscard]] const std::optional<net::Endpoint>& admin_endpoint()
+      const noexcept {
+    return admin_ep_;
+  }
   [[nodiscard]] const SocketServerOptions& options() const noexcept {
     return opts_;
   }
@@ -173,20 +188,22 @@ class SocketServer {
   }
 
  private:
+  /// One run()'s state, and the loop's handler for framed connections.
+  struct Run;
+
   SocketServerOptions opts_;
   /// Fallback when options carried no registry; declared before cache_
   /// so the cache can share it.
   std::unique_ptr<metrics::Registry> own_registry_;
   metrics::Registry* reg_ = nullptr;
   net::Endpoint ep_;
-  std::optional<net::Listener> listener_;  ///< reset when draining begins
+  std::optional<net::Endpoint> admin_ep_;
   std::optional<ResultCache> cache_;       ///< engaged iff cache_dir is set
   /// Submit journal (engaged iff journal_path is set). The changelog's
   /// internal mutex covers the I/O thread's S appends racing the lanes'
   /// R appends.
   std::optional<Changelog> journal_;
-  fdio::Pipe pipe_;                        ///< wakes poll from stop/executor
-  std::atomic<bool> stop_{false};
+  net::ConnLoop loop_;  ///< woken by request_stop and by lane completions
 };
 
 }  // namespace distapx::service

@@ -1,82 +1,83 @@
 // HTTP admin endpoint: request routing/status at the string level, and a
-// live AdminServer scraped over a real TCP socket while writer threads
-// hammer the registry — the scrape-while-serving property the admin plane
-// exists for.
+// live admin listener on a net::ConnLoop (the loop `serve spool --admin`
+// runs) scraped over real sockets while writer threads hammer the
+// registry — the scrape-while-serving property the admin plane exists
+// for.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cerrno>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "net/conn_loop.hpp"
 #include "net/http_admin.hpp"
 #include "net/socket.hpp"
 #include "support/fdio.hpp"
 #include "support/metrics.hpp"
 #include "support/trace.hpp"
+#include "test_helpers.hpp"
 
 namespace distapx::net {
 namespace {
 
-std::string status_line(const std::string& response) {
-  return response.substr(0, response.find("\r\n"));
-}
+using test::http_body;
+using test::http_get;
+using test::http_status_line;
 
-std::string body_of(const std::string& response) {
-  const std::size_t blank = response.find("\r\n\r\n");
-  return blank == std::string::npos ? std::string()
-                                    : response.substr(blank + 4);
+/// The routes' answer for `request` with a default context.
+std::string handle(const std::string& request, const metrics::Registry& reg) {
+  return admin_handle_request(request, reg, AdminContext{});
 }
 
 TEST(AdminHttp, MetricsRouteRendersTheRegistry) {
   metrics::Registry reg;
   reg.counter("results_ok_total").inc(12);
   const std::string resp =
-      admin_handle_request("GET /metrics HTTP/1.0\r\n\r\n", reg);
-  EXPECT_EQ(status_line(resp), "HTTP/1.0 200 OK");
+      handle("GET /metrics HTTP/1.0\r\n\r\n", reg);
+  EXPECT_EQ(http_status_line(resp), "HTTP/1.0 200 OK");
   EXPECT_NE(resp.find("Content-Type: text/plain; version=0.0.4"),
             std::string::npos);
-  EXPECT_NE(body_of(resp).find("distapx_results_ok_total 12\n"),
+  EXPECT_NE(http_body(resp).find("distapx_results_ok_total 12\n"),
             std::string::npos);
 }
 
 TEST(AdminHttp, MetricsRouteIgnoresQueryString) {
   metrics::Registry reg;
   const std::string resp =
-      admin_handle_request("GET /metrics?debug=1 HTTP/1.0\r\n\r\n", reg);
-  EXPECT_EQ(status_line(resp), "HTTP/1.0 200 OK");
+      handle("GET /metrics?debug=1 HTTP/1.0\r\n\r\n", reg);
+  EXPECT_EQ(http_status_line(resp), "HTTP/1.0 200 OK");
 }
 
 TEST(AdminHttp, HealthzReflectsReadyAndDrainingGauges) {
   metrics::Registry reg;
   // No gauges yet: the serving loop has not come up.
-  std::string resp = admin_handle_request("GET /healthz HTTP/1.0\r\n\r\n", reg);
-  EXPECT_EQ(status_line(resp), "HTTP/1.0 503 Service Unavailable");
-  EXPECT_EQ(body_of(resp), "starting\n");
+  std::string resp = handle("GET /healthz HTTP/1.0\r\n\r\n", reg);
+  EXPECT_EQ(http_status_line(resp), "HTTP/1.0 503 Service Unavailable");
+  EXPECT_EQ(http_body(resp), "starting\n");
 
   reg.gauge("ready").set(1);
-  resp = admin_handle_request("GET /healthz HTTP/1.0\r\n\r\n", reg);
-  EXPECT_EQ(status_line(resp), "HTTP/1.0 200 OK");
-  EXPECT_EQ(body_of(resp), "ok\n");
+  resp = handle("GET /healthz HTTP/1.0\r\n\r\n", reg);
+  EXPECT_EQ(http_status_line(resp), "HTTP/1.0 200 OK");
+  EXPECT_EQ(http_body(resp), "ok\n");
 
   // Draining wins over ready: a draining server must fail its health
   // check even though its loop is still up flushing responses.
   reg.gauge("draining").set(1);
-  resp = admin_handle_request("GET /healthz HTTP/1.0\r\n\r\n", reg);
-  EXPECT_EQ(status_line(resp), "HTTP/1.0 503 Service Unavailable");
-  EXPECT_EQ(body_of(resp), "draining\n");
+  resp = handle("GET /healthz HTTP/1.0\r\n\r\n", reg);
+  EXPECT_EQ(http_status_line(resp), "HTTP/1.0 503 Service Unavailable");
+  EXPECT_EQ(http_body(resp), "draining\n");
 }
 
 TEST(AdminHttp, UnknownRouteBadMethodAndGarbageGetClassified) {
   metrics::Registry reg;
-  EXPECT_EQ(status_line(admin_handle_request("GET /nope HTTP/1.0\r\n\r\n",
-                                             reg)),
+  EXPECT_EQ(http_status_line(handle("GET /nope HTTP/1.0\r\n\r\n", reg)),
             "HTTP/1.0 404 Not Found");
-  EXPECT_EQ(status_line(admin_handle_request("POST /metrics HTTP/1.0\r\n\r\n",
-                                             reg)),
+  EXPECT_EQ(http_status_line(handle("POST /metrics HTTP/1.0\r\n\r\n", reg)),
             "HTTP/1.0 405 Method Not Allowed");
-  EXPECT_EQ(status_line(admin_handle_request("garbage\r\n\r\n", reg)),
+  EXPECT_EQ(http_status_line(handle("garbage\r\n\r\n", reg)),
             "HTTP/1.0 400 Bad Request");
 }
 
@@ -87,15 +88,13 @@ TEST(AdminHttp, StatuszRendersBuildStatusFieldsAndProcessGauges) {
   reg.float_gauge("process_cpu_seconds_total").set(1.25);
   reg.gauge("process_max_rss_bytes").set(123456);
 
-  std::vector<std::pair<std::string, std::string>> fields = {
-      {"mode", "socket"}, {"cache_dir", "(none)"}};
   AdminContext ctx;
-  ctx.status_fields = &fields;
+  ctx.status_fields = {{"mode", "socket"}, {"cache_dir", "(none)"}};
   ctx.start_time = std::chrono::steady_clock::now();
   const std::string resp =
       admin_handle_request("GET /statusz HTTP/1.0\r\n\r\n", reg, ctx);
-  EXPECT_EQ(status_line(resp), "HTTP/1.0 200 OK");
-  const std::string body = body_of(resp);
+  EXPECT_EQ(http_status_line(resp), "HTTP/1.0 200 OK");
+  const std::string body = http_body(resp);
   EXPECT_NE(body.find("uptime_seconds"), std::string::npos);
   EXPECT_NE(body.find("mode: socket"), std::string::npos);
   EXPECT_NE(body.find("cache_dir: (none)"), std::string::npos);
@@ -115,8 +114,8 @@ TEST(AdminHttp, VarsRendersCountersFloatsAndRecentQuantiles) {
 
   const std::string resp =
       admin_handle_request("GET /vars HTTP/1.0\r\n\r\n", reg, AdminContext{});
-  EXPECT_EQ(status_line(resp), "HTTP/1.0 200 OK");
-  const std::string body = body_of(resp);
+  EXPECT_EQ(http_status_line(resp), "HTTP/1.0 200 OK");
+  const std::string body = http_body(resp);
   EXPECT_NE(body.find("results_ok_total 7"), std::string::npos);
   EXPECT_NE(body.find("process_cpu_seconds_total"), std::string::npos);
   EXPECT_NE(body.find("job_latency_ms_count 100"), std::string::npos);
@@ -131,8 +130,8 @@ TEST(AdminHttp, TracezRendersSinkOrExplainsItsAbsence) {
   // can tell "no traces yet" from "wrong URL".
   std::string resp =
       admin_handle_request("GET /tracez HTTP/1.0\r\n\r\n", reg, AdminContext{});
-  EXPECT_EQ(status_line(resp), "HTTP/1.0 200 OK");
-  EXPECT_NE(body_of(resp).find("not attached"), std::string::npos);
+  EXPECT_EQ(http_status_line(resp), "HTTP/1.0 200 OK");
+  EXPECT_NE(http_body(resp).find("not attached"), std::string::npos);
 
   trace::TraceSink sink;
   trace::Collector c(42, "submit");
@@ -142,44 +141,58 @@ TEST(AdminHttp, TracezRendersSinkOrExplainsItsAbsence) {
   AdminContext ctx;
   ctx.sink = &sink;
   resp = admin_handle_request("GET /tracez HTTP/1.0\r\n\r\n", reg, ctx);
-  EXPECT_EQ(status_line(resp), "HTTP/1.0 200 OK");
-  const std::string body = body_of(resp);
+  EXPECT_EQ(http_status_line(resp), "HTTP/1.0 200 OK");
+  const std::string body = http_body(resp);
   EXPECT_NE(body.find("trace 42"), std::string::npos);
   EXPECT_NE(body.find("lane-execute"), std::string::npos);
 }
 
-TEST(AdminHttp, LegacyTwoArgOverloadStillRoutes) {
+TEST(AdminHttp, ReplyWaitsForTheBlankLineAndCapsTheRequest) {
   metrics::Registry reg;
-  reg.counter("x_total").inc(1);
-  EXPECT_EQ(status_line(admin_handle_request("GET /statusz HTTP/1.0\r\n\r\n",
-                                             reg)),
-            "HTTP/1.0 200 OK");
-  EXPECT_EQ(status_line(admin_handle_request("GET /vars HTTP/1.0\r\n\r\n",
-                                             reg)),
-            "HTTP/1.0 200 OK");
-  EXPECT_EQ(status_line(admin_handle_request("GET /tracez HTTP/1.0\r\n\r\n",
-                                             reg)),
-            "HTTP/1.0 200 OK");
+  reg.gauge("ready").set(1);
+  // Request line and headers still arriving: nothing to answer yet.
+  EXPECT_FALSE(admin_reply("GET /healthz HTTP/1.0\r\n", reg, {}));
+  EXPECT_FALSE(admin_reply("GET /healthz HTTP/1.0\r\nHost: x\r\n", reg, {}));
+  // The blank line completes it, with CRLF or bare LF line ends.
+  for (const char* request : {"GET /healthz HTTP/1.0\r\nHost: x\r\n\r\n",
+                              "GET /healthz HTTP/1.0\n\n"}) {
+    const std::optional<std::string> reply = admin_reply(request, reg, {});
+    ASSERT_TRUE(reply) << request;
+    EXPECT_EQ(*reply, handle(request, reg));
+  }
+  // One byte over the cap without a blank line is refused, not buffered.
+  EXPECT_FALSE(admin_reply(std::string(kAdminMaxRequestBytes, 'x'), reg, {}));
+  const std::optional<std::string> over =
+      admin_reply(std::string(kAdminMaxRequestBytes + 1, 'x'), reg, {});
+  ASSERT_TRUE(over);
+  EXPECT_EQ(http_status_line(*over), "HTTP/1.0 400 Bad Request");
+  EXPECT_EQ(http_body(*over), "request too large\n");
 }
 
-/// One blocking HTTP/1.0 exchange against a live admin endpoint.
-std::string http_get(const Endpoint& ep, const std::string& target) {
-  fdio::Fd fd = connect_endpoint_retry(ep, 5000);
-  const std::string req = "GET " + target + " HTTP/1.0\r\n\r\n";
-  EXPECT_TRUE(fdio::write_fully(fd.get(), req.data(), req.size()));
-  std::string resp;
-  char buf[4096];
-  for (;;) {
-    const ssize_t r = fdio::read_some(fd.get(), buf, sizeof buf);
-    if (r > 0) {
-      resp.append(buf, static_cast<std::size_t>(r));
-      continue;
-    }
-    if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) continue;
-    break;  // EOF (server closes after the response) or hard error
+/// A ConnLoop serving only an admin listener on its own thread: the shape
+/// `serve spool --admin` runs.
+class AdminLoop {
+ public:
+  AdminLoop(const std::string& addr, const metrics::Registry& reg)
+      : ep_(loop_.listen_admin(Listener::open(parse_endpoint(addr)), reg,
+                               AdminContext{})),
+        thread_([this] { loop_.run(nullptr); }) {}
+  ~AdminLoop() { stop(); }
+  AdminLoop(const AdminLoop&) = delete;
+  AdminLoop& operator=(const AdminLoop&) = delete;
+
+  void stop() {
+    if (!thread_.joinable()) return;
+    loop_.request_stop();
+    thread_.join();
   }
-  return resp;
-}
+  [[nodiscard]] const Endpoint& endpoint() const { return ep_; }
+
+ private:
+  ConnLoop loop_;
+  Endpoint ep_;
+  std::thread thread_;
+};
 
 TEST(AdminHttp, ScrapesWhileWritersHammerTheRegistry) {
   metrics::Registry reg;
@@ -189,11 +202,7 @@ TEST(AdminHttp, ScrapesWhileWritersHammerTheRegistry) {
   reg.counter("results_ok_total");
   reg.histogram("job_latency_ms", metrics::default_latency_buckets_ms());
 
-  AdminOptions opts;
-  opts.endpoint = "127.0.0.1:0";
-  opts.registry = &reg;
-  AdminServer admin(std::move(opts));
-  admin.start();
+  AdminLoop admin("127.0.0.1:0", reg);
 
   // Writers play the serving tier: counters, a gauge, and a histogram
   // updated continuously while scrapes land.
@@ -215,13 +224,13 @@ TEST(AdminHttp, ScrapesWhileWritersHammerTheRegistry) {
 
   for (int i = 0; i < 20; ++i) {
     const std::string resp = http_get(admin.endpoint(), "/metrics");
-    ASSERT_EQ(status_line(resp), "HTTP/1.0 200 OK") << resp;
-    const std::string body = body_of(resp);
+    ASSERT_EQ(http_status_line(resp), "HTTP/1.0 200 OK") << resp;
+    const std::string body = http_body(resp);
     EXPECT_NE(body.find("# TYPE distapx_results_ok_total counter"),
               std::string::npos);
     EXPECT_NE(body.find("distapx_job_latency_ms_count"), std::string::npos);
     const std::string health = http_get(admin.endpoint(), "/healthz");
-    EXPECT_EQ(status_line(health), "HTTP/1.0 200 OK");
+    EXPECT_EQ(http_status_line(health), "HTTP/1.0 200 OK");
   }
 
   stop.store(true);
@@ -240,15 +249,11 @@ TEST(AdminHttp, ScrapesWhileWritersHammerTheRegistry) {
 TEST(AdminHttp, OversizedRequestIsRejected) {
   metrics::Registry reg;
   reg.gauge("ready").set(1);
-  AdminOptions opts;
-  opts.endpoint = "127.0.0.1:0";
-  opts.registry = &reg;
-  opts.max_request_bytes = 128;
-  AdminServer admin(std::move(opts));
-  admin.start();
+  AdminLoop admin("127.0.0.1:0", reg);
 
   fdio::Fd fd = connect_endpoint_retry(admin.endpoint(), 5000);
-  const std::string junk(1024, 'x');  // no blank line, over the cap
+  // No blank line, one byte over the cap: refused as soon as it lands.
+  const std::string junk(kAdminMaxRequestBytes + 1, 'x');
   ASSERT_TRUE(fdio::write_fully(fd.get(), junk.data(), junk.size()));
   std::string resp;
   char buf[1024];
@@ -261,7 +266,7 @@ TEST(AdminHttp, OversizedRequestIsRejected) {
     if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) continue;
     break;
   }
-  EXPECT_EQ(status_line(resp), "HTTP/1.0 400 Bad Request");
+  EXPECT_EQ(http_status_line(resp), "HTTP/1.0 400 Bad Request");
   admin.stop();
 }
 
@@ -270,14 +275,10 @@ TEST(AdminHttp, UnixSocketEndpointServes) {
   reg.counter("spool_files_served_total").inc(2);
   const std::string path =
       ::testing::TempDir() + "/admin-" + std::to_string(::getpid()) + ".sock";
-  AdminOptions opts;
-  opts.endpoint = path;
-  opts.registry = &reg;
-  AdminServer admin(std::move(opts));
-  admin.start();
+  AdminLoop admin(path, reg);
   const std::string resp = http_get(admin.endpoint(), "/metrics");
-  EXPECT_EQ(status_line(resp), "HTTP/1.0 200 OK");
-  EXPECT_NE(body_of(resp).find("distapx_spool_files_served_total 2"),
+  EXPECT_EQ(http_status_line(resp), "HTTP/1.0 200 OK");
+  EXPECT_NE(http_body(resp).find("distapx_spool_files_served_total 2"),
             std::string::npos);
   admin.stop();
 }

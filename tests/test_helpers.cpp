@@ -1,8 +1,10 @@
 #include "test_helpers.hpp"
 
 #include <bit>
+#include <cerrno>
 
 #include "support/assert.hpp"
+#include "support/fdio.hpp"
 
 namespace distapx::test {
 
@@ -46,6 +48,33 @@ std::size_t brute_force_mcm_size(const Graph& g) {
   DISTAPX_ENSURE(g.num_nodes() <= 32);
   DISTAPX_ENSURE(g.num_edges() <= 48);
   return mcm_rec(g, 0, 0);
+}
+
+std::string http_get(const net::Endpoint& ep, const std::string& target) {
+  fdio::Fd fd = net::connect_endpoint_retry(ep, 5000);
+  const std::string req = "GET " + target + " HTTP/1.0\r\n\r\n";
+  EXPECT_TRUE(fdio::write_fully(fd.get(), req.data(), req.size()));
+  std::string resp;
+  char buf[4096];
+  for (;;) {
+    const ssize_t r = fdio::read_some(fd.get(), buf, sizeof buf);
+    if (r > 0) {
+      resp.append(buf, static_cast<std::size_t>(r));
+      continue;
+    }
+    if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) continue;
+    return resp;  // EOF (the server closes after the response) or error
+  }
+}
+
+std::string http_status_line(const std::string& response) {
+  return response.substr(0, response.find("\r\n"));
+}
+
+std::string http_body(const std::string& response) {
+  const std::size_t blank = response.find("\r\n\r\n");
+  return blank == std::string::npos ? std::string()
+                                    : response.substr(blank + 4);
 }
 
 }  // namespace distapx::test

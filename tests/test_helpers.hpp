@@ -10,6 +10,7 @@
 
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
+#include "net/socket.hpp"
 #include "support/random.hpp"
 
 namespace distapx::test {
@@ -88,5 +89,16 @@ Weight brute_force_maxis_weight(const Graph& g, const NodeWeights& w);
 
 /// Brute-force exact MCM size by edge-subset search; small graphs only.
 std::size_t brute_force_mcm_size(const Graph& g);
+
+/// One blocking HTTP/1.0 GET against a live admin endpoint: the whole
+/// response (the server closes after it), or what arrived before an
+/// error.
+std::string http_get(const net::Endpoint& ep, const std::string& target);
+
+/// The response's first line, e.g. "HTTP/1.0 200 OK".
+std::string http_status_line(const std::string& response);
+
+/// The response's body (everything after the blank line).
+std::string http_body(const std::string& response);
 
 }  // namespace distapx::test

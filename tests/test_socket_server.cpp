@@ -10,8 +10,15 @@
 //     loop — remaining clients keep being served;
 //   - lifecycle: HELLO exchange, PING/STATS, SHUTDOWN-over-the-wire,
 //     max_requests, request_stop from another thread, TCP on an
-//     ephemeral localhost port.
+//     ephemeral localhost port;
+//   - an accept that fails with EMFILE backs off and the server keeps
+//     serving;
+//   - the admin listener on the same loop: /healthz reads draining during
+//     a drain, an idle admin connection never holds the drain open, and
+//     admin traffic moves none of the framed-protocol series.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -37,6 +44,7 @@
 #include "service/socket_server.hpp"
 #include "support/changelog.hpp"
 #include "support/fdio.hpp"
+#include "support/log.hpp"
 #include "support/trace.hpp"
 #include "test_helpers.hpp"
 
@@ -809,6 +817,200 @@ TEST(SocketServer, StaleSocketPathIsReclaimedALiveOneIsNot) {
     std::ofstream squatter(path);
   }
   EXPECT_THROW(service::SocketServer{opts}, net::NetError);
+}
+
+// ---- accept errors ----------------------------------------------------------
+
+/// This process's RLIMIT_NOFILE soft limit, restored on destruction. The
+/// test binary runs one test per process, so no other test sees a change.
+class NofileLimit {
+ public:
+  NofileLimit() { EXPECT_EQ(::getrlimit(RLIMIT_NOFILE, &saved_), 0); }
+  ~NofileLimit() { restore(); }
+  NofileLimit(const NofileLimit&) = delete;
+  NofileLimit& operator=(const NofileLimit&) = delete;
+
+  /// Caps the fd table at the lowest free fd number: the next fd any
+  /// call asks for fails with EMFILE.
+  void exhaust() {
+    const int fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+    ::close(fd);
+    rlimit lowered = saved_;
+    lowered.rlim_cur = static_cast<rlim_t>(fd);
+    EXPECT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+  }
+  void restore() { ::setrlimit(RLIMIT_NOFILE, &saved_); }
+
+ private:
+  rlimit saved_{};
+};
+
+/// Routes log lines to `sink` for one scope, at debug level.
+class LogTap {
+ public:
+  explicit LogTap(std::function<void(const std::string&)> sink)
+      : level_(logx::level()) {
+    logx::set_level(logx::Level::kDebug);
+    logx::set_sink_for_testing(std::move(sink));
+  }
+  ~LogTap() {
+    logx::set_sink_for_testing(nullptr);
+    logx::set_level(level_);
+  }
+  LogTap(const LogTap&) = delete;
+  LogTap& operator=(const LogTap&) = delete;
+
+ private:
+  logx::Level level_;
+};
+
+TEST(SocketServer, AcceptHittingEmfileBacksOffAndKeepsServing) {
+  const ScopedTempDir dir("distapx-socket-emfile");
+  std::filesystem::create_directories(dir.path);
+  service::SocketServerOptions opts;
+  opts.endpoint = net::parse_endpoint((dir.path / "dx.sock").string());
+  opts.threads = 1;
+  opts.lanes = 1;
+  opts.max_requests = 2;
+  service::SocketServer server(std::move(opts));
+  // Both clients are connected (queued in the backlog) before run(), and
+  // everything they will say is already written, so run() can serve on
+  // this thread: A pings, submits and half-closes; B submits.
+  fdio::Fd a = net::connect_endpoint(server.endpoint());
+  fdio::Fd b = net::connect_endpoint(server.endpoint());
+  const std::string submit = net::encode_frame(net::FrameType::kSubmit, kJobs);
+  ASSERT_TRUE(write_raw(a.get(), net::encode_frame(net::FrameType::kPing, {}) +
+                                     submit));
+  ASSERT_EQ(::shutdown(a.get(), SHUT_WR), 0);
+  ASSERT_TRUE(write_raw(b.get(), submit));
+  // The fd table fills the moment A is accepted (its conn_accepted line),
+  // so accepting B hits EMFILE; the accept_failed line frees it again.
+  // Filling it only there keeps the sanitizer runtimes, which open fds of
+  // their own on first use, out of the exhausted stretch.
+  NofileLimit limit;
+  int accepted = 0;
+  int accept_failures = 0;
+  {
+    const LogTap tap([&](const std::string& line) {
+      if (line.find("event=conn_accepted") != std::string::npos &&
+          ++accepted == 1) {
+        limit.exhaust();
+      } else if (line.find("event=accept_failed") != std::string::npos) {
+        ++accept_failures;
+        limit.restore();
+      }
+    });
+    EXPECT_NO_THROW(server.run());
+  }
+  EXPECT_EQ(accept_failures, 1);
+  EXPECT_EQ(accepted, 2);  // B, once the backoff ran out
+  // Every answer is already in the kernel buffers; read them in order.
+  const auto frame_types = [](int fd) {
+    std::vector<net::FrameType> types;
+    net::FrameReader reader(1 << 20);
+    char buf[4096];
+    for (ssize_t r; (r = fdio::read_some(fd, buf, sizeof buf)) > 0;) {
+      reader.feed(buf, static_cast<std::size_t>(r));
+      for (net::Frame f; reader.next(f) == net::FrameStatus::kFrame;) {
+        types.push_back(f.type);
+      }
+    }
+    return types;
+  };
+  EXPECT_EQ(frame_types(a.get()),
+            (std::vector{net::FrameType::kPong, net::FrameType::kResult}));
+  EXPECT_EQ(frame_types(b.get()), std::vector{net::FrameType::kResult});
+  EXPECT_EQ(server.registry().snapshot().counter_or("results_ok_total"), 2u);
+}
+
+// ---- the admin listener on the serving loop ---------------------------------
+
+void serve_admin(service::SocketServerOptions& o) {
+  o.admin_endpoint = net::parse_endpoint("127.0.0.1:0");
+}
+
+TEST(SocketServer, HealthzReportsDrainingWhileALongJobDrains) {
+  const char* kLong = "gen=gnp:3000:0.01 algo=luby seeds=1:15 name=sweep\n";
+  ServerFixture fixture([](service::SocketServerOptions& o) {
+    serve_admin(o);
+    o.threads = 1;
+  });
+  const net::Endpoint admin = *fixture.server().admin_endpoint();
+  EXPECT_EQ(test::http_body(test::http_get(admin, "/healthz")), "ok\n");
+  fdio::Fd sweeper = net::connect_endpoint(fixture.endpoint());
+  ASSERT_TRUE(write_raw(sweeper.get(), net::encode_frame(
+                                           net::FrameType::kSubmit, kLong)));
+  ASSERT_TRUE(stats_line_appears(fixture.endpoint(), "executing 1"));
+  {
+    net::Client client = net::Client::connect(fixture.endpoint());
+    ASSERT_TRUE(client.shutdown().ok);
+  }
+  // The sweep holds the drain open, and the admin listener with it.
+  const std::string health = test::http_get(admin, "/healthz");
+  EXPECT_EQ(test::http_status_line(health), "HTTP/1.0 503 Service Unavailable");
+  EXPECT_EQ(test::http_body(health), "draining\n");
+  const std::optional<net::Frame> result = read_raw_frame(sweeper.get());
+  ASSERT_TRUE(result);
+  EXPECT_EQ(result->type, net::FrameType::kResult);
+  EXPECT_TRUE(fixture.wait_done()) << "run() did not return after the drain";
+}
+
+TEST(SocketServer, IdleAdminConnectionDoesNotHoldTheDrainOpen) {
+  ServerFixture fixture(serve_admin);
+  // Connected and silent: the admin reap clock (10 s) is far longer than
+  // wait_done's 5 s, so only not counting it lets run() return in time.
+  fdio::Fd idle = net::connect_endpoint(*fixture.server().admin_endpoint());
+  ASSERT_EQ(test::http_status_line(test::http_get(
+                *fixture.server().admin_endpoint(), "/healthz")),
+            "HTTP/1.0 200 OK");
+  net::Client client = net::Client::connect(fixture.endpoint());
+  ASSERT_TRUE(client.shutdown().ok);
+  EXPECT_TRUE(fixture.wait_done()) << "an idle admin connection held the drain";
+}
+
+TEST(SocketServer, AdminScrapesLeaveTheServerSeriesUnchanged) {
+  ServerFixture fixture(serve_admin);
+  {
+    net::Client client = net::Client::connect(fixture.endpoint());
+    ASSERT_TRUE(client.submit(kJobs).ok);
+  }
+  // The client's close reaches the server asynchronously; settle first.
+  for (int waited = 0; waited < 5000; waited += 10) {
+    if (fixture.server().registry().snapshot().gauge_or("connections_open") ==
+        0) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  const auto series = [&] {
+    const metrics::Snapshot snap = fixture.server().registry().snapshot();
+    std::string out = fixture.server().stats_text();
+    for (const char* name :
+         {"connections_accepted_total", "conn_bytes_read_total",
+          "conn_bytes_written_total", "timeouts_total",
+          "protocol_errors_total", "frame_errors_total"}) {
+      out += std::string(name) + ' ' + std::to_string(snap.counter_or(name)) +
+             '\n';
+    }
+    return out;
+  };
+  const std::string before = series();
+  const net::Endpoint admin = *fixture.server().admin_endpoint();
+  for (const char* page :
+       {"/metrics", "/healthz", "/statusz", "/vars", "/tracez", "/nope"}) {
+    EXPECT_EQ(test::http_status_line(test::http_get(admin, page)).substr(0, 9),
+              "HTTP/1.0 ");
+  }
+  {
+    // A garbage request and a hangup mid-request are admin-protocol
+    // events, not framed-protocol errors.
+    fdio::Fd junk = net::connect_endpoint(admin);
+    ASSERT_TRUE(write_raw(junk.get(), std::string(10'000, 'x')));
+    fdio::Fd partial = net::connect_endpoint(admin);
+    ASSERT_TRUE(write_raw(partial.get(), "GET /metr"));
+  }
+  EXPECT_EQ(test::http_body(test::http_get(admin, "/healthz")), "ok\n");
+  EXPECT_EQ(series(), before);
 }
 
 // ---- crash recovery via the submit journal ----------------------------------

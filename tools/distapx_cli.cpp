@@ -39,7 +39,7 @@
 #include "graph/algos.hpp"
 #include "graph/genspec.hpp"
 #include "net/client.hpp"
-#include "net/http_admin.hpp"
+#include "net/conn_loop.hpp"
 #include "net/socket.hpp"
 #include "matching/lr_matching.hpp"
 #include "matching/lr_matching_det.hpp"
@@ -257,30 +257,18 @@ void apply_log_level(const std::string& spec) {
   logx::set_level(*level);
 }
 
-/// --admin for the serving subcommands: binds and starts the HTTP admin
-/// endpoint on `registry` and prints the bound address ("admin on ...",
-/// the line CI scrapes for the ephemeral port). `admin` must be declared
-/// after the registry and server it observes, so it stops first.
-void start_admin(
-    const std::string& addr, metrics::Registry& registry,
-    std::optional<net::AdminServer>& admin,
-    const trace::TraceSink* trace_sink = nullptr,
-    std::vector<std::pair<std::string, std::string>> status_fields = {}) {
-  if (addr.empty()) return;
-  try {
-    net::AdminOptions aopts;
-    aopts.endpoint = addr;
-    aopts.registry = &registry;
-    aopts.trace_sink = trace_sink;
-    aopts.status_fields = std::move(status_fields);
-    admin.emplace(std::move(aopts));
-    admin->start();
-  } catch (const std::exception& e) {
-    usage_error(e.what());
+/// `serve spool --admin`: the daemon owns the main thread, so the admin
+/// listener runs on a ConnLoop of its own, on one thread. Declare it
+/// after the registry and trace sink it reads, so it stops first.
+struct SpoolAdmin {
+  net::ConnLoop loop;
+  std::thread thread;
+
+  ~SpoolAdmin() {
+    loop.request_stop();
+    if (thread.joinable()) thread.join();
   }
-  std::cout << "admin on " << admin->endpoint().to_string() << "\n"
-            << std::flush;
-}
+};
 
 void print_metrics(const sim::RunMetrics& m) {
   std::cout << "  rounds=" << m.rounds << " messages=" << m.messages
@@ -456,13 +444,32 @@ int run_serve(int argc, char** argv) {
   } catch (const std::exception& e) {
     usage_error(e.what());
   }
-  std::optional<net::AdminServer> admin;
-  start_admin(a.admin_addr, registry, admin, &trace_sink,
-              {{"mode", "spool"},
-               {"spool_dir", a.opts.spool_dir},
-               {"cache_dir",
-                a.opts.cache_dir.empty() ? "(none)" : a.opts.cache_dir},
-               {"durability", a.durability.empty() ? "full" : a.durability}});
+  SpoolAdmin admin;
+  if (!a.admin_addr.empty()) {
+    net::Endpoint ep;
+    try {
+      ep = admin.loop.listen_admin(
+          net::Listener::open(net::parse_endpoint(a.admin_addr)), registry,
+          {&trace_sink,
+           {{"mode", "spool"},
+            {"spool_dir", a.opts.spool_dir},
+            {"cache_dir",
+             a.opts.cache_dir.empty() ? "(none)" : a.opts.cache_dir},
+            {"durability", a.durability.empty() ? "full" : a.durability}},
+           std::chrono::steady_clock::now()});
+    } catch (const std::exception& e) {
+      usage_error(e.what());
+    }
+    admin.thread = std::thread([&admin] {
+      try {
+        admin.loop.run(nullptr);
+      } catch (const std::exception& e) {
+        logx::error("admin_loop_failed", {{"err", e.what()}});
+      }
+    });
+    // The line CI scrapes for the ephemeral port.
+    std::cout << "admin on " << ep.to_string() << "\n" << std::flush;
+  }
   std::cout << "serving spool " << a.opts.spool_dir
             << (a.opts.cache_dir.empty()
                     ? std::string(" (no cache)")
@@ -555,24 +562,22 @@ int run_serve_socket(int argc, char** argv) {
   // the server so it outlives run().
   trace::TraceSink trace_sink;
   a.opts.trace_sink = &trace_sink;
+  a.opts.admin_status_fields = {
+      {"durability", a.durability.empty() ? "full" : a.durability}};
   std::optional<service::SocketServer> server;
   try {
     a.opts.endpoint = net::parse_endpoint(listen_addr);
+    if (!a.admin_addr.empty()) {
+      a.opts.admin_endpoint = net::parse_endpoint(a.admin_addr);
+    }
     server.emplace(std::move(a.opts));
   } catch (const std::exception& e) {
     usage_error(e.what());
   }
-  std::optional<net::AdminServer> admin;
-  const service::SocketServerOptions& sopts = server->options();
-  start_admin(a.admin_addr, registry, admin, &trace_sink,
-              {{"mode", "socket"},
-               {"endpoint", server->endpoint().to_string()},
-               {"lanes", std::to_string(sopts.lanes)},
-               {"cache_dir",
-                sopts.cache_dir.empty() ? "(none)" : sopts.cache_dir},
-               {"journal",
-                sopts.journal_path.empty() ? "(none)" : sopts.journal_path},
-               {"durability", a.durability.empty() ? "full" : a.durability}});
+  if (server->admin_endpoint()) {
+    std::cout << "admin on " << server->admin_endpoint()->to_string() << "\n"
+              << std::flush;
+  }
   g_socket_server.store(&*server);
   std::signal(SIGINT, handle_stop_signal);
   std::signal(SIGTERM, handle_stop_signal);
