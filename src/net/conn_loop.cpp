@@ -6,9 +6,7 @@
 
 #include <algorithm>
 #include <cstring>
-#include <vector>
 
-#include "support/assert.hpp"
 #include "support/log.hpp"
 
 namespace distapx::net {
@@ -41,29 +39,33 @@ void ConnLoop::Conn::close() {
   if (has_output() && timeout_ms != 0) deadline = after_ms(timeout_ms);
 }
 
+void ConnLoop::Conn::drop() {
+  closing = true;
+  out.clear();
+  outoff = 0;
+}
+
 void ConnLoop::Conn::last_words(std::string_view bytes) noexcept {
   if (!has_output()) (void)send_some(fd.get(), bytes.data(), bytes.size());
 }
 
-Endpoint ConnLoop::listen_framed(Listener listener,
-                                 std::uint32_t idle_timeout_ms) {
-  framed_.emplace(Slot{std::move(listener)});
-  framed_timeout_ms_ = idle_timeout_ms;
-  return framed_->listener.endpoint();
+void ConnLoop::listen(Listener listener, Handler& handler,
+                      std::uint32_t idle_timeout_ms) {
+  slots_.push_back(Slot{&handler, std::move(listener), idle_timeout_ms});
 }
 
-Endpoint ConnLoop::listen_admin(Listener listener,
-                                const metrics::Registry& registry,
-                                AdminContext ctx) {
-  admin_.emplace(AdminSlot{{std::move(listener)}, &registry, std::move(ctx)});
-  logx::info("admin_listening",
-             {{"endpoint", admin_->listener.endpoint().to_string()}});
-  return admin_->listener.endpoint();
+void ConnLoop::stop_accepting(const Handler& handler) noexcept {
+  for (Slot& slot : slots_) {
+    if (slot.handler == &handler) slot.listener.reset();
+  }
 }
 
-void ConnLoop::run(Handler* handler) {
-  DISTAPX_ENSURE_MSG(handler != nullptr || !framed_,
-                     "a framed listener needs a handler");
+ConnLoop::Conn* ConnLoop::find(std::uint64_t id) {
+  const auto it = conns_.find(id);
+  return it == conns_.end() ? nullptr : &it->second;
+}
+
+void ConnLoop::run() {
   std::vector<pollfd> pfds;
   std::vector<std::uint64_t> polled;  // conn id of pfds[first_conn_pfd + i]
   for (;;) {
@@ -72,28 +74,32 @@ void ConnLoop::run(Handler* handler) {
     // marked, so a drain with idle clients cannot park in poll forever.
     for (auto it = conns_.begin(); it != conns_.end();) {
       it = it->second.closing && !it->second.has_output()
-               ? erase(it, CloseReason::kClosed, handler)
+               ? erase(it, CloseReason::kClosed)
                : std::next(it);
     }
-    if (handler != nullptr ? handler->done() : stop_requested()) break;
+    if (stop_requested() &&
+        std::all_of(slots_.begin(), slots_.end(),
+                    [](const Slot& s) { return s.handler->done(); })) {
+      break;
+    }
 
     pfds.clear();
     polled.clear();
     const Clock::time_point now = Clock::now();
     Clock::time_point nearest = Clock::time_point::max();
     pfds.push_back({wake_.read_fd(), POLLIN, 0});
-    // A listener in accept backoff sits out of the poll set; its resume
-    // time bounds the wait like a reap deadline.
-    const auto poll_listener = [&](const Slot& slot) -> std::size_t {
+    for (Slot& slot : slots_) {
+      slot.pfd = 0;
+      if (!slot.listener) continue;
+      // A listener in accept backoff sits out of the poll set; its resume
+      // time bounds the wait like a reap deadline.
       if (slot.paused_until > now) {
         nearest = std::min(nearest, slot.paused_until);
-        return 0;
+        continue;
       }
-      pfds.push_back({slot.listener.fd(), POLLIN, 0});
-      return pfds.size() - 1;
-    };
-    const std::size_t framed_pfd = framed_ ? poll_listener(*framed_) : 0;
-    const std::size_t admin_pfd = admin_ ? poll_listener(*admin_) : 0;
+      slot.pfd = pfds.size();
+      pfds.push_back({slot.listener->fd(), POLLIN, 0});
+    }
     const std::size_t first_conn_pfd = pfds.size();
     for (auto& [id, c] : conns_) {
       short events = 0;
@@ -124,15 +130,14 @@ void ConnLoop::run(Handler* handler) {
       throw NetError(std::string("poll: ") + std::strerror(errno));
     }
     if (pfds[0].revents & POLLIN) wake_.drain();
-    if (handler != nullptr) handler->on_wake();
+    for (Slot& slot : slots_) slot.handler->on_wake();
 
-    // on_wake may have closed the framed listener (a drain began): its
-    // pollfd is then stale.
-    if (framed_ && framed_pfd != 0 && (pfds[framed_pfd].revents & POLLIN)) {
-      accept_all(*framed_, /*admin=*/false, handler);
-    }
-    if (admin_ && admin_pfd != 0 && (pfds[admin_pfd].revents & POLLIN)) {
-      accept_all(*admin_, /*admin=*/true, handler);
+    // on_wake may have closed a listener (a drain began): its pollfd is
+    // then stale.
+    for (Slot& slot : slots_) {
+      if (slot.listener && slot.pfd != 0 && (pfds[slot.pfd].revents & POLLIN)) {
+        accept_all(slot);
+      }
     }
 
     for (std::size_t i = 0; i < polled.size(); ++i) {
@@ -141,34 +146,33 @@ void ConnLoop::run(Handler* handler) {
       Conn& c = it->second;
       const short re = pfds[first_conn_pfd + i].revents;
       std::optional<CloseReason> gone;
-      if ((re & POLLIN) && !c.closing) gone = read_from(c, handler);
+      if ((re & POLLIN) && !c.closing) gone = read_from(c);
       // Output queued by this very iteration (a PONG, a completion
       // delivered in on_wake) often fits the socket buffer: write it now
       // instead of waiting a poll cycle for POLLOUT.
-      if (!gone && c.has_output()) gone = flush(c, handler);
+      if (!gone && c.has_output()) gone = flush(c);
       if (!gone && c.closing && !c.has_output()) gone = CloseReason::kClosed;
       if (!gone && (re & (POLLERR | POLLHUP | POLLNVAL)) && !(re & POLLIN)) {
         gone = CloseReason::kReset;
       }
       if (!gone && Clock::now() >= c.deadline) gone = CloseReason::kTimeout;
-      if (gone) erase(it, *gone, handler);
+      if (gone) erase(it, *gone);
     }
   }
   conns_.clear();
-  framed_.reset();
-  admin_.reset();
+  slots_.clear();
 }
 
-void ConnLoop::accept_all(Slot& slot, bool admin, Handler* handler) {
+void ConnLoop::accept_all(Slot& slot) {
   for (;;) {
     int err = 0;
-    fdio::Fd fd = slot.listener.accept_connection(err);
+    fdio::Fd fd = slot.listener->accept_connection(err);
     if (err != 0) {
       // Out of fds (EMFILE/ENFILE) or kernel memory: the pending peer
       // stays queued in the backlog. Back off instead of spinning on a
       // listener that stays readable; everything open keeps serving.
       logx::error("accept_failed",
-                  {{"endpoint", slot.listener.endpoint().to_string()},
+                  {{"endpoint", slot.listener->endpoint().to_string()},
                    {"err", std::strerror(err)},
                    {"backoff_ms", kAcceptBackoffMs}});
       slot.paused_until = after_ms(kAcceptBackoffMs);
@@ -177,22 +181,17 @@ void ConnLoop::accept_all(Slot& slot, bool admin, Handler* handler) {
     if (!fd) return;
     const std::uint64_t id = next_id_++;
     Conn& c = conns_
-                  .emplace(id, Conn{id, std::move(fd), admin,
-                                    admin ? kAdminIdleTimeoutMs
-                                          : framed_timeout_ms_})
+                  .emplace(id, Conn{id, std::move(fd), slot.handler,
+                                    slot.timeout_ms})
                   .first->second;
-    if (admin) {
-      // An admin connection owes a request from its first moment.
-      c.mid_request = true;
-      c.deadline = after_ms(kAdminIdleTimeoutMs);
-    } else {
-      handler->on_open(c);
-    }
+    c.session = slot.handler->on_open(c);
+    // A protocol that owes a request from the first moment starts the
+    // reap clock at accept.
+    if (c.mid_request && c.timeout_ms != 0) c.deadline = after_ms(c.timeout_ms);
   }
 }
 
-std::optional<ConnLoop::CloseReason> ConnLoop::read_from(Conn& c,
-                                                         Handler* handler) {
+std::optional<ConnLoop::CloseReason> ConnLoop::read_from(Conn& c) {
   char buf[64 * 1024];
   for (;;) {
     const ssize_t r = fdio::read_some(c.fd.get(), buf, sizeof buf);
@@ -202,24 +201,10 @@ std::optional<ConnLoop::CloseReason> ConnLoop::read_from(Conn& c,
     }
     if (r == 0) {
       c.read_eof = true;
-      if (c.admin) {
-        c.close();  // EOF before a whole request: nothing to answer
-      } else {
-        handler->on_eof(c);
-      }
+      c.handler->on_eof(c);
       break;
     }
-    const std::string_view bytes(buf, static_cast<std::size_t>(r));
-    if (!c.admin) {
-      handler->on_data(c, bytes);
-    } else {
-      c.request.append(bytes);
-      if (auto reply =
-              admin_reply(c.request, *admin_->registry, admin_->ctx)) {
-        c.out += *reply;
-        c.close();  // HTTP/1.0: one response, then close
-      }
-    }
+    c.handler->on_data(c, std::string_view(buf, static_cast<std::size_t>(r)));
     if (c.closing) break;
     if (r < static_cast<ssize_t>(sizeof buf)) break;  // drained the socket
   }
@@ -231,8 +216,7 @@ std::optional<ConnLoop::CloseReason> ConnLoop::read_from(Conn& c,
   return std::nullopt;
 }
 
-std::optional<ConnLoop::CloseReason> ConnLoop::flush(Conn& c,
-                                                     Handler* handler) {
+std::optional<ConnLoop::CloseReason> ConnLoop::flush(Conn& c) {
   while (c.has_output()) {
     const ssize_t w = send_some(c.fd.get(), c.out.data() + c.outoff,
                                 c.out.size() - c.outoff);
@@ -240,7 +224,7 @@ std::optional<ConnLoop::CloseReason> ConnLoop::flush(Conn& c,
     if (w == 0) return std::nullopt;         // buffer full; wait for POLLOUT
     c.outoff += static_cast<std::size_t>(w);
     c.sent_total += static_cast<std::uint64_t>(w);
-    if (!c.admin) handler->on_sent(c, static_cast<std::size_t>(w));
+    c.handler->on_sent(c, static_cast<std::size_t>(w));
     // Progress resets the reap clock: only a peer *refusing* to read runs
     // it out, not a slow one.
     if (c.timeout_ms != 0) c.deadline = after_ms(c.timeout_ms);
@@ -255,9 +239,8 @@ std::optional<ConnLoop::CloseReason> ConnLoop::flush(Conn& c,
 }
 
 ConnLoop::ConnMap::iterator ConnLoop::erase(ConnMap::iterator it,
-                                            CloseReason why,
-                                            Handler* handler) {
-  if (!it->second.admin) handler->on_close(it->second, why);
+                                            CloseReason why) {
+  it->second.handler->on_close(it->second, why);
   return conns_.erase(it);
 }
 

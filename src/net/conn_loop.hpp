@@ -3,12 +3,10 @@
 // ConnLoop owns a self-pipe, the listeners and every accepted connection:
 // its nonblocking fd, its output buffer, close-after-flush, and a reap
 // deadline so that a peer which stalls mid-request or stops reading
-// cannot pin the connection forever. Connections from the framed
-// listener go to the Handler passed to run() (the socket server), which
-// decides what their bytes mean. On the admin listener the loop serves
-// the HTTP admin protocol of http_admin.hpp itself, one request per
-// connection; admin connections never reach the handler, so they move
-// none of its series and never hold a drain open.
+// cannot pin the connection forever. Each listener has a Handler that
+// decides what its connections' bytes mean and keeps their protocol
+// state in the Session each Conn owns: the socket server for the framed
+// protocol, net::AdminHandler (http_admin.hpp) for the admin routes.
 //
 // A failed accept (EMFILE, ENFILE, ...) is logged and takes that listener
 // out of the poll set for kAcceptBackoffMs; open connections keep being
@@ -21,14 +19,14 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
-#include "net/http_admin.hpp"
 #include "net/socket.hpp"
 #include "support/fdio.hpp"
-#include "support/metrics.hpp"
 
 namespace distapx::net {
 
@@ -38,6 +36,12 @@ inline constexpr std::uint32_t kAcceptBackoffMs = 100;
 class ConnLoop {
  public:
   using Clock = std::chrono::steady_clock;
+  class Handler;
+
+  /// A handler's protocol state for one connection, owned by its Conn.
+  struct Session {
+    virtual ~Session() = default;
+  };
 
   /// One accepted connection; valid until Handler::on_close returns. A
   /// handler queues output by appending to `out` and sets `mid_request`
@@ -46,20 +50,22 @@ class ConnLoop {
   struct Conn {
     std::uint64_t id;
     fdio::Fd fd;
-    bool admin;
+    Handler* handler;
     std::uint32_t timeout_ms;  ///< reap clock length; 0 = never reap
-    std::string out{};         ///< out[outoff..] is not yet sent
+    std::unique_ptr<Session> session{};  ///< from handler->on_open
+    std::string out{};                   ///< out[outoff..] is not yet sent
     std::size_t outoff = 0;
     std::uint64_t sent_total = 0;  ///< bytes handed to the kernel so far
     bool closing = false;
     bool read_eof = false;  ///< peer half-closed; output may still flow
     bool mid_request = false;
     Clock::time_point deadline = Clock::time_point::max();  ///< reap time
-    std::string request{};  ///< admin connections: bytes received so far
 
     /// Stop reading; close once `out` is flushed (or the reap deadline
     /// passes first).
     void close();
+    /// Close within this iteration, discarding output not yet sent.
+    void drop();
     /// One best-effort write for a peer about to be dropped, made only
     /// onto an empty output buffer (it would corrupt a half-sent one).
     void last_words(std::string_view bytes) noexcept;
@@ -73,48 +79,56 @@ class ConnLoop {
   };
 
   enum class CloseReason {
-    kClosed,   ///< close() finished flushing, or a write found the peer gone
+    kClosed,   ///< close()/drop() finished, or a write found the peer gone
     kReset,    ///< read error, or a hangup with nothing left to read
     kTimeout,  ///< the reap deadline passed
   };
 
-  /// The owner of the framed listener's connections.
+  /// What one listener's connections mean.
   class Handler {
    public:
     virtual ~Handler() = default;
-    virtual void on_open(Conn& c) = 0;
+    /// A connection was accepted; returns its protocol state.
+    virtual std::unique_ptr<Session> on_open(Conn& c) = 0;
     /// Bytes arrived; not called again once c.closing.
     virtual void on_data(Conn& c, std::string_view bytes) = 0;
     /// The peer half-closed; output can still be sent.
     virtual void on_eof(Conn& c) = 0;
     /// `n` more bytes of c's output reached the kernel.
-    virtual void on_sent(Conn& c, std::size_t n) = 0;
+    virtual void on_sent(Conn& /*c*/, std::size_t /*n*/) {}
     /// c is about to close; its fd is still open for last_words.
-    virtual void on_close(Conn& c, CloseReason why) = 0;
+    virtual void on_close(Conn& /*c*/, CloseReason /*why*/) {}
     /// Once per wakeup, before any accept or connection I/O.
-    virtual void on_wake() = 0;
-    /// Asked at the top of every iteration; true makes run() return.
-    virtual bool done() = 0;
+    virtual void on_wake() {}
+    /// Once a stop is requested, run() returns when every handler is done.
+    virtual bool done() { return true; }
   };
 
-  /// Adopts the framed listener; its connections are reaped after
-  /// idle_timeout_ms stalled mid-request or unable to flush (0 = never).
-  /// Returns the bound endpoint.
-  Endpoint listen_framed(Listener listener, std::uint32_t idle_timeout_ms);
-  /// Stops accepting framed connections (a Unix path is unlinked);
-  /// accepted ones stay, and so does the admin listener.
-  void close_framed_listener() noexcept { framed_.reset(); }
-  /// Adopts the admin listener, serving `registry` and `ctx` (registry
-  /// and trace sink must outlive run()). Returns the bound endpoint.
-  Endpoint listen_admin(Listener listener, const metrics::Registry& registry,
-                        AdminContext ctx);
+  /// Serves `listener` through `handler`, which must outlive run(). Its
+  /// connections are reaped after idle_timeout_ms stalled mid-request or
+  /// unable to flush (0 = never).
+  void listen(Listener listener, Handler& handler,
+              std::uint32_t idle_timeout_ms);
+  /// Closes handler's listener (a Unix path is unlinked); its accepted
+  /// connections stay.
+  void stop_accepting(const Handler& handler) noexcept;
 
-  /// Serves until handler->done() (with no handler: until request_stop()),
-  /// then closes every listener and connection left. A framed listener
-  /// needs a handler. Throws NetError if poll fails.
-  void run(Handler* handler);
+  /// The open connection `id`, or null.
+  [[nodiscard]] Conn* find(std::uint64_t id);
+  /// Calls f(Conn&) on each open connection of handler's listener.
+  template <class F>
+  void for_each(const Handler& handler, F f) {
+    for (auto& [id, c] : conns_) {
+      if (c.handler == &handler) f(c);
+    }
+  }
 
-  /// Wakes a blocked run() so that the handler's on_wake runs.
+  /// Serves until request_stop() has been called and every handler is
+  /// done(), then closes every listener and connection left. Throws
+  /// NetError if poll fails.
+  void run();
+
+  /// Wakes a blocked run() so that the handlers' on_wake runs.
   void wake() noexcept { wake_.poke(); }
   void request_stop() noexcept {
     stop_.store(true);
@@ -124,27 +138,23 @@ class ConnLoop {
 
  private:
   struct Slot {
-    Listener listener;
+    Handler* handler;
+    std::optional<Listener> listener;  ///< reset by stop_accepting
+    std::uint32_t timeout_ms;
     Clock::time_point paused_until{};  ///< accept backoff
-  };
-  struct AdminSlot : Slot {
-    const metrics::Registry* registry;
-    AdminContext ctx;
+    std::size_t pfd = 0;  ///< index in this iteration's poll set; 0 = none
   };
   using ConnMap = std::map<std::uint64_t, Conn>;
 
-  void accept_all(Slot& slot, bool admin, Handler* handler);
+  void accept_all(Slot& slot);
   /// Both return why the connection must go, or nullopt if it stays.
-  std::optional<CloseReason> read_from(Conn& c, Handler* handler);
-  std::optional<CloseReason> flush(Conn& c, Handler* handler);
-  ConnMap::iterator erase(ConnMap::iterator it, CloseReason why,
-                          Handler* handler);
+  std::optional<CloseReason> read_from(Conn& c);
+  std::optional<CloseReason> flush(Conn& c);
+  ConnMap::iterator erase(ConnMap::iterator it, CloseReason why);
 
   fdio::Pipe wake_;
   std::atomic<bool> stop_{false};
-  std::optional<Slot> framed_;
-  std::uint32_t framed_timeout_ms_ = 0;
-  std::optional<AdminSlot> admin_;
+  std::vector<Slot> slots_;
   ConnMap conns_;
   std::uint64_t next_id_ = 1;
 };

@@ -6,11 +6,18 @@
 #include "net/frame.hpp"
 #include "net/protocol.hpp"
 #include "service/result_cache.hpp"
+#include "support/fsutil.hpp"
+#include "support/log.hpp"
 #include "support/trace.hpp"
 
 namespace distapx::net {
 
 namespace {
+
+/// The bytes an admin connection has sent so far.
+struct AdminSession final : ConnLoop::Session {
+  std::string request;
+};
 
 std::string http_response(int status, const char* reason,
                           std::string_view content_type,
@@ -49,6 +56,8 @@ std::string render_statusz(const metrics::Snapshot& snap,
   for (const auto& [key, value] : ctx.status_fields) {
     out += key + ": " + value + '\n';
   }
+  const bool synced = fsutil::durability() == fsutil::Durability::kFull;
+  out += std::string("durability: ") + (synced ? "full\n" : "none\n");
   out += '\n';
   const auto gauge_line = [&](const char* name) {
     out += std::string(name) + ": " +
@@ -171,6 +180,27 @@ std::optional<std::string> admin_reply(std::string_view received,
     return std::nullopt;
   }
   return admin_handle_request(received, registry, ctx);
+}
+
+Endpoint AdminHandler::listen(ConnLoop& loop, Listener listener) {
+  Endpoint ep = listener.endpoint();
+  loop.listen(std::move(listener), *this, kAdminIdleTimeoutMs);
+  logx::info("admin_listening", {{"endpoint", ep.to_string()}});
+  return ep;
+}
+
+std::unique_ptr<ConnLoop::Session> AdminHandler::on_open(ConnLoop::Conn& c) {
+  c.mid_request = true;  // a request is owed from the first moment
+  return std::make_unique<AdminSession>();
+}
+
+void AdminHandler::on_data(ConnLoop::Conn& c, std::string_view bytes) {
+  std::string& request = static_cast<AdminSession&>(*c.session).request;
+  request.append(bytes);
+  if (auto reply = admin_reply(request, registry_, ctx_)) {
+    c.out += *reply;
+    c.close();  // HTTP/1.0: one response, then close
+  }
 }
 
 }  // namespace distapx::net

@@ -11,8 +11,8 @@
 //                admin plane holds no state of its own.
 //   /statusz  -> 200, human-oriented one-page process summary: build and
 //                engine/protocol versions, uptime, the static facts the
-//                serving CLI registered (lanes, cache dir/budget,
-//                durability mode), live gauges, and process rusage.
+//                serving mode registered (lanes, cache dir, journal), the
+//                process durability level, live gauges, and rusage.
 //   /tracez   -> 200, the trace sink's retained traces (recent ring +
 //                slowest-K per endpoint) as indented text trees; a plain
 //                note when no sink is attached.
@@ -21,9 +21,9 @@
 //                cumulative and recent-window p50/p95/p99 — for scripts
 //                that don't want to parse Prometheus framing.
 //
-// The admin plane has no thread or loop of its own: net::ConnLoop
-// (conn_loop.hpp) serves it as one more listener on the serving loop —
-// the socket server's I/O thread, or in spool mode a loop with only this
+// The admin plane has no thread or loop of its own: AdminHandler serves
+// it as one more listener on a net::ConnLoop (conn_loop.hpp) — the
+// socket server's I/O thread, or in spool mode a loop with only this
 // listener. Every route reads the registry's atomics, so /metrics stays
 // scrapeable while every executor lane is busy; that is the point of an
 // admin plane. HTTP support is deliberately narrow: GET only, request
@@ -42,6 +42,7 @@
 #include <utility>
 #include <vector>
 
+#include "net/conn_loop.hpp"
 #include "support/metrics.hpp"
 
 namespace distapx::trace {
@@ -59,7 +60,8 @@ inline constexpr std::uint32_t kAdminIdleTimeoutMs = 10'000;
 /// loop's owner builds one; string-level tests build their own.
 struct AdminContext {
   const trace::TraceSink* sink = nullptr;
-  /// Static "key: value" facts for /statusz, rendered in order.
+  /// Static "key: value" facts for /statusz, rendered in order before
+  /// the process durability level.
   std::vector<std::pair<std::string, std::string>> status_fields;
   std::chrono::steady_clock::time_point start_time{};  ///< for uptime
 };
@@ -79,5 +81,28 @@ std::string admin_handle_request(std::string_view request,
 std::optional<std::string> admin_reply(std::string_view received,
                                        const metrics::Registry& registry,
                                        const AdminContext& ctx);
+
+/// The admin listener's handler: one admin_reply per connection, then
+/// close. It is always done(), so admin connections never hold a drain
+/// open, and it moves no series of the framed protocol.
+class AdminHandler final : public ConnLoop::Handler {
+ public:
+  /// `registry` and ctx.sink must outlive the loop's run().
+  AdminHandler(const metrics::Registry& registry, AdminContext ctx)
+      : registry_(registry), ctx_(std::move(ctx)) {}
+
+  /// Adds `listener` to `loop`, served by this handler; returns the
+  /// bound endpoint.
+  Endpoint listen(ConnLoop& loop, Listener listener);
+
+  std::unique_ptr<ConnLoop::Session> on_open(ConnLoop::Conn& c) override;
+  void on_data(ConnLoop::Conn& c, std::string_view bytes) override;
+  /// EOF before a whole request: nothing to answer.
+  void on_eof(ConnLoop::Conn& c) override { c.close(); }
+
+ private:
+  const metrics::Registry& registry_;
+  AdminContext ctx_;
+};
 
 }  // namespace distapx::net

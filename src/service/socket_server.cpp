@@ -117,9 +117,8 @@ unsigned effective_lanes(unsigned requested) {
 struct SocketServer::Run final : net::ConnLoop::Handler {
   using Conn = net::ConnLoop::Conn;
 
-  /// One framed connection's protocol state, beside the loop's Conn.
-  struct Session {
-    Conn* conn;  ///< valid until on_close erases the session
+  /// One framed connection's protocol state, owned by its Conn.
+  struct Session final : net::ConnLoop::Session {
     net::FrameReader reader;
     std::uint32_t inflight = 0;  ///< SUBMITs not yet answered on this conn
     std::uint64_t next_submit_seq = 1;   ///< conn_seq for the next SUBMIT
@@ -137,13 +136,16 @@ struct SocketServer::Run final : net::ConnLoop::Handler {
     };
     std::deque<PendingFlush> flush_watch;
 
-    Session(Conn& c, std::size_t max_frame) : conn(&c), reader(max_frame) {}
+    explicit Session(std::size_t max_frame) : reader(max_frame) {}
   };
+  static Session& session(Conn& c) {
+    return static_cast<Session&>(*c.session);
+  }
 
   SocketServer& srv;
   const SocketServerOptions& opts;
   Meters counters;
-  std::map<std::uint64_t, Session> sessions;
+  std::size_t open_conns = 0;        ///< framed connections
   std::uint64_t inflight_total = 0;  ///< jobs enqueued, completion pending
   bool draining = false;
 
@@ -316,10 +318,11 @@ struct SocketServer::Run final : net::ConnLoop::Handler {
     draining = true;
     counters.draining.set(1);
     logx::info("drain_begin", {});
-    srv.loop_.close_framed_listener();  // new connects are refused from here
-    for (auto& [id, s] : sessions) {
-      if (s.inflight == 0) s.conn->close();
-    }
+    srv.loop_.request_stop();  // run() returns once the drain is done
+    srv.loop_.stop_accepting(*this);  // new connects are refused from here
+    srv.loop_.for_each(*this, [](Conn& c) {
+      if (session(c).inflight == 0) c.close();
+    });
   }
 
   void protocol_error(Conn& c, const std::string& what) {
@@ -334,8 +337,7 @@ struct SocketServer::Run final : net::ConnLoop::Handler {
     counters.frame_errors.inc();
   }
 
-  void handle_frame(Session& s, net::Frame& frame) {
-    Conn& c = *s.conn;
+  void handle_frame(Conn& c, net::Frame& frame) {
     switch (frame.type) {
       case net::FrameType::kHello: {
         std::uint32_t version = 0;
@@ -364,7 +366,7 @@ struct SocketServer::Run final : net::ConnLoop::Handler {
         return;
       case net::FrameType::kSubmit:
       case net::FrameType::kSubmitTrace:
-        submit(s, frame);
+        submit(c, frame);
         return;
       case net::FrameType::kShutdown:
         if (!opts.allow_remote_shutdown) {
@@ -376,7 +378,7 @@ struct SocketServer::Run final : net::ConnLoop::Handler {
         begin_drain();
         // begin_drain skipped this conn if it has inflight work; without
         // any it must still flush the ack before closing.
-        if (s.inflight == 0) c.close();
+        if (session(c).inflight == 0) c.close();
         return;
       case net::FrameType::kResult:
       case net::FrameType::kResultTrace:
@@ -389,8 +391,8 @@ struct SocketServer::Run final : net::ConnLoop::Handler {
     protocol_error(c, "unknown frame type");
   }
 
-  void submit(Session& s, net::Frame& frame) {
-    Conn& c = *s.conn;
+  void submit(Conn& c, net::Frame& frame) {
+    Session& s = session(c);
     const std::uint64_t conn_id = c.id;
     const bool want_trace = frame.type == net::FrameType::kSubmitTrace;
     if (draining) {
@@ -455,15 +457,15 @@ struct SocketServer::Run final : net::ConnLoop::Handler {
     }
     for (Completion& done : batch) {
       --inflight_total;
-      const auto it = sessions.find(done.conn_id);
-      if (it == sessions.end()) {
+      Conn* const conn = srv.loop_.find(done.conn_id);
+      if (conn == nullptr) {
         // Client left while the job ran; nowhere to send the response.
         counters.jobs_dropped.inc();
         if (done.tracer) finalize_trace(*done.tracer);
         continue;
       }
-      Session& s = it->second;
-      Conn& c = *s.conn;
+      Conn& c = *conn;
+      Session& s = session(c);
       // Per-connection FIFO: park the completion, then release the head
       // run — everything whose turn has come goes out in submit order,
       // however the lanes raced.
@@ -516,22 +518,23 @@ struct SocketServer::Run final : net::ConnLoop::Handler {
 
   // ---- net::ConnLoop::Handler ---------------------------------------------
 
-  void on_open(Conn& c) override {
+  std::unique_ptr<net::ConnLoop::Session> on_open(Conn& c) override {
+    auto s = std::make_unique<Session>(opts.max_frame_bytes);
     counters.connections_accepted.inc();
+    counters.connections_open.set(static_cast<std::int64_t>(++open_conns));
     logx::debug("conn_accepted", {{"conn", c.id}});
-    sessions.emplace(c.id, Session(c, opts.max_frame_bytes));
-    counters.connections_open.set(static_cast<std::int64_t>(sessions.size()));
+    return s;
   }
 
   void on_data(Conn& c, std::string_view bytes) override {
-    Session& s = sessions.at(c.id);
+    Session& s = session(c);
     counters.bytes_read.inc(bytes.size());
     s.reader.feed(bytes.data(), bytes.size());
     for (;;) {
       net::Frame frame;
       const net::FrameStatus status = s.reader.next(frame);
       if (status == net::FrameStatus::kFrame) {
-        handle_frame(s, frame);
+        handle_frame(c, frame);
         if (c.closing) break;
         continue;
       }
@@ -544,13 +547,18 @@ struct SocketServer::Run final : net::ConnLoop::Handler {
     c.mid_request = s.reader.mid_frame();
   }
 
-  // A frame half-sent at EOF is truncated for good. A clean half-close
+  // A frame half-sent at EOF is truncated for good: the connection goes
+  // at once, unsent output and queued jobs with it. A clean half-close
   // with nothing owed flushes what is queued, then closes; with work in
   // flight, deliver_completions closes once the last response is out.
   void on_eof(Conn& c) override {
-    const Session& s = sessions.at(c.id);
-    if (s.reader.mid_frame()) count_truncated_frame();
-    if (s.reader.mid_frame() || s.inflight == 0) c.close();
+    const Session& s = session(c);
+    if (s.reader.mid_frame()) {
+      count_truncated_frame();
+      c.drop();
+    } else if (s.inflight == 0) {
+      c.close();
+    }
   }
 
   void on_sent(Conn& c, std::size_t n) override {
@@ -558,7 +566,7 @@ struct SocketServer::Run final : net::ConnLoop::Handler {
     // A respond span ends when its response bytes have actually left for
     // the kernel, not when they were enqueued — so queue-behind time under
     // pipelining is visible in the trace.
-    auto& watch = sessions.at(c.id).flush_watch;
+    auto& watch = session(c).flush_watch;
     while (!watch.empty() && watch.front().target <= c.sent_total) {
       Session::PendingFlush fw = std::move(watch.front());
       watch.pop_front();
@@ -575,8 +583,7 @@ struct SocketServer::Run final : net::ConnLoop::Handler {
   // on a lane gets dropped at delivery instead.
   void on_close(Conn& c, net::ConnLoop::CloseReason why) override {
     const std::uint64_t id = c.id;
-    const auto it = sessions.find(id);
-    Session& s = it->second;
+    Session& s = session(c);
     if (why == net::ConnLoop::CloseReason::kReset && s.reader.mid_frame()) {
       count_truncated_frame();
     } else if (why == net::ConnLoop::CloseReason::kTimeout) {
@@ -631,8 +638,7 @@ struct SocketServer::Run final : net::ConnLoop::Handler {
     }
     inflight_total -= purged;
     logx::debug("conn_closed", {{"conn", id}});
-    sessions.erase(it);
-    counters.connections_open.set(static_cast<std::int64_t>(sessions.size()));
+    counters.connections_open.set(static_cast<std::int64_t>(--open_conns));
   }
 
   void on_wake() override {
@@ -649,7 +655,7 @@ struct SocketServer::Run final : net::ConnLoop::Handler {
   }
 
   bool done() override {
-    return draining && inflight_total == 0 && sessions.empty();
+    return draining && inflight_total == 0 && open_conns == 0;
   }
 };
 
@@ -732,8 +738,8 @@ SocketServer::SocketServer(SocketServerOptions opts)
     // must not replay twice.
     journal_->snapshot({});
   }
-  ep_ = loop_.listen_framed(net::Listener::open(opts_.endpoint),
-                            opts_.idle_timeout_ms);
+  listener_.emplace(net::Listener::open(opts_.endpoint));
+  ep_ = listener_->endpoint();
   if (opts_.admin_endpoint) {
     const auto or_none = [](const std::string& v) {
       return v.empty() ? std::string("(none)") : v;
@@ -745,11 +751,9 @@ SocketServer::SocketServer(SocketServerOptions opts)
                            {"cache_dir", or_none(opts_.cache_dir)},
                            {"journal", or_none(opts_.journal_path)}},
                           Clock::now()};
-    ctx.status_fields.insert(ctx.status_fields.end(),
-                             opts_.admin_status_fields.begin(),
-                             opts_.admin_status_fields.end());
-    admin_ep_ = loop_.listen_admin(net::Listener::open(*opts_.admin_endpoint),
-                                   *reg_, std::move(ctx));
+    admin_.emplace(*reg_, std::move(ctx));
+    admin_ep_ =
+        admin_->listen(loop_, net::Listener::open(*opts_.admin_endpoint));
   }
 }
 
@@ -758,10 +762,12 @@ void SocketServer::run() {
   logx::info("server_listening",
              {{"endpoint", ep_.to_string()},
               {"lanes", static_cast<unsigned>(state.lanes.size())}});
+  loop_.listen(std::move(*listener_), state, opts_.idle_timeout_ms);
+  listener_.reset();
   state.counters.ready.set(1);  // /healthz flips to "ok" here
-  loop_.run(&state);
+  loop_.run();
   state.stop_lanes();
-  // Completions that raced with the drain have no session left: this
+  // Completions that raced with the drain have no connection left: this
   // counts them as dropped.
   state.deliver_completions();
   state.counters.ready.set(0);

@@ -11,10 +11,11 @@
 //
 // Architecture: one I/O thread (the caller of run()) drives a
 // net::ConnLoop, which owns the sockets — listener, self-pipe, client
-// connections and, with admin_endpoint set, the HTTP admin listener it
-// serves itself. The server owns frame decoding, per-connection FIFO
-// delivery and the journal; N executor lanes (`lanes`) pull submitted
-// job files from per-connection FIFO queues and run each through run_job
+// connections and, with admin_endpoint set, the HTTP admin listener that
+// net::AdminHandler serves. The server is the framed listener's handler:
+// it owns frame decoding, per-connection FIFO delivery and the journal.
+// N executor lanes (`lanes`) pull submitted job files from
+// per-connection FIFO queues and run each through run_job
 // (report_sink.hpp) on a cache-backed BatchServer whose worker pool
 // (`threads`) is shared by all clients.
 //
@@ -68,10 +69,9 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "net/conn_loop.hpp"
+#include "net/http_admin.hpp"
 #include "net/socket.hpp"
 #include "service/result_cache.hpp"
 #include "support/changelog.hpp"
@@ -136,9 +136,6 @@ struct SocketServerOptions {
   /// Where to serve the HTTP admin plane (net/http_admin.hpp), on the
   /// I/O thread; unset = none.
   std::optional<net::Endpoint> admin_endpoint;
-  /// GET /statusz lines after the server's own (mode, endpoint, lanes,
-  /// cache_dir, journal), in order.
-  std::vector<std::pair<std::string, std::string>> admin_status_fields;
 };
 
 class SocketServer {
@@ -198,6 +195,10 @@ class SocketServer {
   metrics::Registry* reg_ = nullptr;
   net::Endpoint ep_;
   std::optional<net::Endpoint> admin_ep_;
+  /// Bound in the constructor, handed to loop_ by run() (whose state
+  /// handles the framed connections).
+  std::optional<net::Listener> listener_;
+  std::optional<net::AdminHandler> admin_;  ///< engaged iff admin_endpoint
   std::optional<ResultCache> cache_;       ///< engaged iff cache_dir is set
   /// Submit journal (engaged iff journal_path is set). The changelog's
   /// internal mutex covers the I/O thread's S appends racing the lanes'

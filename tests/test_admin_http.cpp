@@ -174,9 +174,9 @@ TEST(AdminHttp, ReplyWaitsForTheBlankLineAndCapsTheRequest) {
 class AdminLoop {
  public:
   AdminLoop(const std::string& addr, const metrics::Registry& reg)
-      : ep_(loop_.listen_admin(Listener::open(parse_endpoint(addr)), reg,
-                               AdminContext{})),
-        thread_([this] { loop_.run(nullptr); }) {}
+      : handler_(reg, AdminContext{}),
+        ep_(handler_.listen(loop_, Listener::open(parse_endpoint(addr)))),
+        thread_([this] { loop_.run(); }) {}
   ~AdminLoop() { stop(); }
   AdminLoop(const AdminLoop&) = delete;
   AdminLoop& operator=(const AdminLoop&) = delete;
@@ -189,6 +189,7 @@ class AdminLoop {
   [[nodiscard]] const Endpoint& endpoint() const { return ep_; }
 
  private:
+  AdminHandler handler_;
   ConnLoop loop_;
   Endpoint ep_;
   std::thread thread_;

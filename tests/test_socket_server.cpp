@@ -44,6 +44,7 @@
 #include "service/socket_server.hpp"
 #include "support/changelog.hpp"
 #include "support/fdio.hpp"
+#include "support/fsutil.hpp"
 #include "support/log.hpp"
 #include "support/trace.hpp"
 #include "test_helpers.hpp"
@@ -566,6 +567,35 @@ TEST(SocketServer, MidFrameDisconnectIsCountedAndTheServerKeepsServing) {
   EXPECT_TRUE(client.submit(kJobs).ok);
 }
 
+TEST(SocketServer, TruncatedFrameAtEofDropsTheConnectionWithOutputQueued) {
+  ServerFixture fixture(
+      [](service::SocketServerOptions& o) { o.idle_timeout_ms = 30'000; });
+  fdio::Fd raw = net::connect_endpoint(fixture.endpoint());
+  // Thousands of STATS requests and no reads pile ~1 MB of responses up
+  // past the socket buffers; then half a header and a half-close.
+  std::string burst;
+  for (int i = 0; i < 3000; ++i) {
+    burst += net::encode_frame(net::FrameType::kStatsReq, "");
+  }
+  burst += net::encode_frame(net::FrameType::kPing, "").substr(0, 6);
+  ASSERT_TRUE(write_raw(raw.get(), burst));
+  ASSERT_EQ(::shutdown(raw.get(), SHUT_WR), 0);
+  // The truncated frame ends the connection at once, unsent output and
+  // all: it is not left for the 30 s reap clock to count as a timeout.
+  metrics::Snapshot snap;
+  for (int waited = 0; waited < 10'000; waited += 10) {
+    snap = fixture.server().registry().snapshot();
+    if (snap.counter_or("protocol_errors_total") == 1 &&
+        snap.gauge_or("connections_open") == 0) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(snap.gauge_or("connections_open"), 0);
+  EXPECT_EQ(snap.counter_or("frame_errors_total"), 1u);
+  EXPECT_EQ(snap.counter_or("timeouts_total"), 0u);
+}
+
 TEST(SocketServer, SlowLorisPartialHeaderIsReapedWithAClassifiedTimeout) {
   ServerFixture fixture(
       [](service::SocketServerOptions& o) { o.idle_timeout_ms = 100; });
@@ -1012,6 +1042,31 @@ TEST(SocketServer, AdminScrapesLeaveTheServerSeriesUnchanged) {
   }
   EXPECT_EQ(test::http_body(test::http_get(admin, "/healthz")), "ok\n");
   EXPECT_EQ(series(), before);
+}
+
+TEST(SocketServer, StatuszListsTheServerFactsAndTheProcessDurability) {
+  const auto facts = [](const service::SocketServer& server) {
+    return "mode: socket\nendpoint: " + server.endpoint().to_string() +
+           "\nlanes: 0\ncache_dir: (none)\njournal: (none)\ndurability: ";
+  };
+  {
+    ServerFixture fixture(serve_admin);
+    const std::string page = test::http_body(
+        test::http_get(*fixture.server().admin_endpoint(), "/statusz"));
+    EXPECT_NE(page.find(facts(fixture.server()) + "full\n\n"),
+              std::string::npos)
+        << page;
+  }
+  fsutil::set_durability(fsutil::Durability::kNone);
+  {
+    ServerFixture fixture(serve_admin);
+    const std::string page = test::http_body(
+        test::http_get(*fixture.server().admin_endpoint(), "/statusz"));
+    EXPECT_NE(page.find(facts(fixture.server()) + "none\n\n"),
+              std::string::npos)
+        << page;
+  }
+  fsutil::set_durability(fsutil::Durability::kFull);
 }
 
 // ---- crash recovery via the submit journal ----------------------------------

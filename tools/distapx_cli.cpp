@@ -39,7 +39,7 @@
 #include "graph/algos.hpp"
 #include "graph/genspec.hpp"
 #include "net/client.hpp"
-#include "net/conn_loop.hpp"
+#include "net/http_admin.hpp"
 #include "net/socket.hpp"
 #include "matching/lr_matching.hpp"
 #include "matching/lr_matching_det.hpp"
@@ -261,12 +261,26 @@ void apply_log_level(const std::string& spec) {
 /// listener runs on a ConnLoop of its own, on one thread. Declare it
 /// after the registry and trace sink it reads, so it stops first.
 struct SpoolAdmin {
+  net::AdminHandler handler;
   net::ConnLoop loop;
+  net::Endpoint endpoint;
   std::thread thread;
 
+  SpoolAdmin(const metrics::Registry& registry, net::AdminContext ctx,
+             const std::string& addr)
+      : handler(registry, std::move(ctx)),
+        endpoint(handler.listen(
+            loop, net::Listener::open(net::parse_endpoint(addr)))),
+        thread([this] {
+          try {
+            loop.run();
+          } catch (const std::exception& e) {
+            logx::error("admin_loop_failed", {{"err", e.what()}});
+          }
+        }) {}
   ~SpoolAdmin() {
     loop.request_stop();
-    if (thread.joinable()) thread.join();
+    thread.join();
   }
 };
 
@@ -444,31 +458,25 @@ int run_serve(int argc, char** argv) {
   } catch (const std::exception& e) {
     usage_error(e.what());
   }
-  SpoolAdmin admin;
+  std::optional<SpoolAdmin> admin;
   if (!a.admin_addr.empty()) {
-    net::Endpoint ep;
     try {
-      ep = admin.loop.listen_admin(
-          net::Listener::open(net::parse_endpoint(a.admin_addr)), registry,
-          {&trace_sink,
-           {{"mode", "spool"},
-            {"spool_dir", a.opts.spool_dir},
-            {"cache_dir",
-             a.opts.cache_dir.empty() ? "(none)" : a.opts.cache_dir},
-            {"durability", a.durability.empty() ? "full" : a.durability}},
-           std::chrono::steady_clock::now()});
+      admin.emplace(
+          registry,
+          net::AdminContext{
+              &trace_sink,
+              {{"mode", "spool"},
+               {"spool_dir", a.opts.spool_dir},
+               {"cache_dir",
+                a.opts.cache_dir.empty() ? "(none)" : a.opts.cache_dir}},
+              std::chrono::steady_clock::now()},
+          a.admin_addr);
     } catch (const std::exception& e) {
       usage_error(e.what());
     }
-    admin.thread = std::thread([&admin] {
-      try {
-        admin.loop.run(nullptr);
-      } catch (const std::exception& e) {
-        logx::error("admin_loop_failed", {{"err", e.what()}});
-      }
-    });
     // The line CI scrapes for the ephemeral port.
-    std::cout << "admin on " << ep.to_string() << "\n" << std::flush;
+    std::cout << "admin on " << admin->endpoint.to_string() << "\n"
+              << std::flush;
   }
   std::cout << "serving spool " << a.opts.spool_dir
             << (a.opts.cache_dir.empty()
@@ -562,8 +570,6 @@ int run_serve_socket(int argc, char** argv) {
   // the server so it outlives run().
   trace::TraceSink trace_sink;
   a.opts.trace_sink = &trace_sink;
-  a.opts.admin_status_fields = {
-      {"durability", a.durability.empty() ? "full" : a.durability}};
   std::optional<service::SocketServer> server;
   try {
     a.opts.endpoint = net::parse_endpoint(listen_addr);
